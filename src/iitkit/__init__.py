@@ -9,12 +9,9 @@ sensitive those classifications are to the arbitrary threshold they rest on.
 
 from iitkit.trade_data import (
     FlowKey,
-    FlowRecord,
     IndustryFlow,
     IndustryGroup,
     apply_grouping,
-    pair_and_clean,
-    parse_flow_records,
     read_flows,
 )
 from iitkit.indices import (
@@ -47,12 +44,9 @@ from iitkit.sensitivity import (
 
 __all__ = [
     "FlowKey",
-    "FlowRecord",
     "IndustryFlow",
     "IndustryGroup",
     "apply_grouping",
-    "pair_and_clean",
-    "parse_flow_records",
     "read_flows",
     "TradeType",
     "TradeTypeMethod",

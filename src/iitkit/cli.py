@@ -16,19 +16,22 @@ import sys
 from pathlib import Path
 
 from iitkit.differentiation import (
+    FAMILIES,
     DifferentiationMethod,
     decompose_shares,
     reports_to_csv,
 )
-from iitkit.indices import TradeTypeMethod
+from iitkit.indices import TradeTypeMethod, check_fraction
 from iitkit.sensitivity import (
     DEFAULT_ALPHA_GRID,
+    _validate_alphas,
     alpha_sweep,
     nature_transitions,
     sweep_flips_to_csv,
     transitions_to_csv,
 )
 from iitkit.trade_data import (
+    GROUP_POLICIES,
     CleanResult,
     FlowParseError,
     IndustryGroup,
@@ -63,26 +66,23 @@ def _fraction(name: str):
             value = float(text)
         except ValueError:
             raise argparse.ArgumentTypeError(f"{name} must be a number, got {text!r}")
-        if not 0 < value < 1:
-            raise argparse.ArgumentTypeError(f"{name} must be in (0, 1), got {text}")
-        return value
+        try:
+            return check_fraction(name, value)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
 
     return parse
 
 
-def _alpha_list(text: str) -> list[float]:
+def _alpha_list(text: str) -> tuple[float, ...]:
     try:
         values = [float(part) for part in text.split(",") if part != ""]
     except ValueError:
         raise argparse.ArgumentTypeError(f"--alphas must be a comma list of numbers, got {text!r}")
-    if not values:
-        raise argparse.ArgumentTypeError("--alphas is empty")
-    for v in values:
-        if not 0 < v < 1:
-            raise argparse.ArgumentTypeError(f"--alphas entry {v} out of range (0, 1)")
-    if any(lo >= hi for lo, hi in zip(values, values[1:])):
-        raise argparse.ArgumentTypeError("--alphas must be strictly increasing")
-    return values
+    try:
+        return _validate_alphas(values)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _add_io_options(sub: argparse.ArgumentParser) -> None:
@@ -90,7 +90,7 @@ def _add_io_options(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--group-map", default=None, help="industry_code,group_id CSV")
     sub.add_argument(
         "--group-policy",
-        choices=("own-code", "strict", "drop"),
+        choices=GROUP_POLICIES,
         default="own-code",
         help="fallback for industry codes absent from --group-map",
     )
@@ -99,7 +99,7 @@ def _add_io_options(sub: argparse.ArgumentParser) -> None:
 
 
 def _add_method_options(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--family", choices=("ghm", "ff"), default="ghm")
+    sub.add_argument("--family", choices=FAMILIES, default="ghm")
     sub.add_argument("--type-method", choices=("vona", "aer"), default="aer")
     sub.add_argument(
         "--aer-threshold", type=_fraction("--aer-threshold"), default=0.10,
@@ -193,7 +193,10 @@ def _write_output(text: str, output: str | None) -> None:
     if output is None:
         sys.stdout.write(text)
     else:
-        Path(output).write_text(text, encoding="utf-8")
+        try:
+            Path(output).write_text(text, encoding="utf-8")
+        except OSError as exc:
+            raise ConfigError(f"cannot write {output}: {exc.strerror or exc}") from exc
 
 
 def _json_document(config: dict, key: str, payload) -> str:

@@ -14,17 +14,16 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
+from typing import Iterable, Sequence
 
-from iitkit.indices import TradeType, TradeTypeMethod, classify_trade_type
+from iitkit.indices import TradeType, TradeTypeMethod, check_fraction, classify_trade_type
 from iitkit.trade_data import FlowKey, IndustryFlow, IndustryGroup
 
 FAMILIES = ("ghm", "ff")
 
-# Canonical threshold presets.
 ALPHA_DEFAULT = 0.15
-ALPHA_WIDE = 0.25
 
 
 class Differentiation(Enum):
@@ -34,16 +33,10 @@ class Differentiation(Enum):
 
 
 class UnclassifiableReason(Enum):
-    """Why an industry's unit-value ratio cannot be formed.
-
-    UNIT_MISMATCH is part of the wire schema for consumers that aggregate
-    flows themselves; merged flows produced by pair_and_clean carry a single
-    unit, so ingestion never emits it.
-    """
+    """Why an industry's unit-value ratio cannot be formed."""
 
     MISSING_VOLUME = "missing-volume"
     ZERO_VOLUME = "zero-volume"
-    UNIT_MISMATCH = "unit-mismatch"
     ZERO_VALUE = "zero-value"
 
 
@@ -56,23 +49,53 @@ class UnitValueRatio:
     ratio: float
 
 
+def _band_edges(family: str, alpha: float) -> tuple[float, float]:
+    """Inclusive horizontal band [lower, upper] of a rule family at alpha."""
+    lower = 1 - alpha if family == "ghm" else 1 / (1 + alpha)
+    return lower, 1 + alpha
+
+
+def _band(ratio: float, lower: float, upper: float) -> Differentiation:
+    """Horizontal iff lower <= ratio <= upper (inclusive); vertical outside."""
+    if ratio <= 0:
+        raise ValueError(f"ratio must be positive, got {ratio}")
+    if ratio > upper:
+        return Differentiation.VERTICAL_HIGH
+    if ratio < lower:
+        return Differentiation.VERTICAL_LOW
+    return Differentiation.HORIZONTAL
+
+
+def classify_ghm(ratio: float, alpha: float) -> Differentiation:
+    """Horizontal iff 1-alpha <= r <= 1+alpha (inclusive); vertical otherwise."""
+    return _band(ratio, *_band_edges("ghm", alpha))
+
+
+def classify_ff(ratio: float, alpha: float) -> Differentiation:
+    """Horizontal iff 1/(1+alpha) <= r <= 1+alpha (inclusive); vertical otherwise."""
+    return _band(ratio, *_band_edges("ff", alpha))
+
+
 @dataclass(frozen=True)
 class DifferentiationMethod:
     """Differentiation rule family ("ghm" or "ff") with its threshold alpha."""
 
     family: str
     alpha: float = ALPHA_DEFAULT
+    # The inclusive band edges, derived from family and alpha.
+    lower: float = field(init=False, repr=False, compare=False)
+    upper: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.family not in FAMILIES:
             raise ValueError(f"unknown differentiation family {self.family!r}")
-        if not 0 < self.alpha < 1:
-            raise ValueError(f"alpha must be in (0, 1), got {self.alpha}")
+        check_fraction("alpha", self.alpha)
+        lower, upper = _band_edges(self.family, self.alpha)
+        object.__setattr__(self, "lower", lower)
+        object.__setattr__(self, "upper", upper)
 
     def classify(self, ratio: float) -> Differentiation:
-        if self.family == "ghm":
-            return classify_ghm(ratio, self.alpha)
-        return classify_ff(ratio, self.alpha)
+        return _band(ratio, self.lower, self.upper)
 
 
 def unit_value_ratio(flow: IndustryFlow) -> UnitValueRatio | UnclassifiableReason:
@@ -86,28 +109,6 @@ def unit_value_ratio(flow: IndustryFlow) -> UnitValueRatio | UnclassifiableReaso
     vux = flow.export_value / flow.export_volume
     vum = flow.import_value / flow.import_volume
     return UnitValueRatio(vux, vum, vux / vum)
-
-
-def classify_ghm(ratio: float, alpha: float) -> Differentiation:
-    """Horizontal iff 1-alpha <= r <= 1+alpha (inclusive); vertical otherwise."""
-    if ratio <= 0:
-        raise ValueError(f"ratio must be positive, got {ratio}")
-    if ratio > 1 + alpha:
-        return Differentiation.VERTICAL_HIGH
-    if ratio < 1 - alpha:
-        return Differentiation.VERTICAL_LOW
-    return Differentiation.HORIZONTAL
-
-
-def classify_ff(ratio: float, alpha: float) -> Differentiation:
-    """Horizontal iff 1/(1+alpha) <= r <= 1+alpha (inclusive); vertical otherwise."""
-    if ratio <= 0:
-        raise ValueError(f"ratio must be positive, got {ratio}")
-    if ratio > 1 + alpha:
-        return Differentiation.VERTICAL_HIGH
-    if ratio < 1 / (1 + alpha):
-        return Differentiation.VERTICAL_LOW
-    return Differentiation.HORIZONTAL
 
 
 @dataclass(frozen=True)
@@ -135,25 +136,6 @@ class IndustryDetail:
         }
 
 
-CSV_COLUMNS = (
-    "period",
-    "reporter",
-    "partner",
-    "group_id",
-    "family",
-    "alpha",
-    "type_method",
-    "aer_threshold",
-    "total_trade",
-    "iit",
-    "hiit",
-    "viit",
-    "hqviit",
-    "lqviit",
-    "unclassified_share",
-)
-
-
 @dataclass(frozen=True)
 class SharesReport:
     """IIT share decomposition of one industry group under one method pair.
@@ -176,41 +158,60 @@ class SharesReport:
     unclassified_share: float
     details: tuple[IndustryDetail, ...]
 
-    def to_dict(self, include_details: bool = True) -> dict:
-        out = {
-            "period": self.snapshot[0],
-            "reporter": self.snapshot[1],
-            "partner": self.snapshot[2],
-            "group_id": self.group_id,
-            "family": self.family,
-            "alpha": self.alpha,
-            "type_method": self.type_method.kind,
-            "aer_threshold": self.type_method.threshold,
-            "total_trade": self.total_trade,
-            "iit": self.iit,
-            "hiit": self.hiit,
-            "viit": self.viit,
-            "hqviit": self.hqviit,
-            "lqviit": self.lqviit,
-            "unclassified_share": self.unclassified_share,
-        }
-        if include_details:
-            out["industries"] = [d.to_dict() for d in self.details]
+    # Names of values(), in order: the JSON keys before "industries" and the CSV header.
+    FIELDS = (
+        "period",
+        "reporter",
+        "partner",
+        "group_id",
+        "family",
+        "alpha",
+        "type_method",
+        "aer_threshold",
+        "total_trade",
+        "iit",
+        "hiit",
+        "viit",
+        "hqviit",
+        "lqviit",
+        "unclassified_share",
+    )
+
+    def values(self) -> tuple:
+        return (
+            *self.snapshot,
+            self.group_id,
+            self.family,
+            self.alpha,
+            self.type_method.kind,
+            self.type_method.threshold,
+            self.total_trade,
+            self.iit,
+            self.hiit,
+            self.viit,
+            self.hqviit,
+            self.lqviit,
+            self.unclassified_share,
+        )
+
+    def to_dict(self) -> dict:
+        out = dict(zip(self.FIELDS, self.values()))
+        out["industries"] = [d.to_dict() for d in self.details]
         return out
 
-    def to_csv_row(self) -> list:
-        d = self.to_dict(include_details=False)
-        return [d[c] for c in CSV_COLUMNS]
+
+def _csv_text(header: Sequence[str], rows: Iterable[Sequence]) -> str:
+    """CSV text: the header line, then one line per row, each ended by a bare newline."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
 
 
 def reports_to_csv(reports: list[SharesReport]) -> str:
     """Flat CSV with one row per (group, method combination)."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(CSV_COLUMNS)
-    for report in reports:
-        writer.writerow(report.to_csv_row())
-    return buf.getvalue()
+    return _csv_text(SharesReport.FIELDS, (r.values() for r in reports))
 
 
 def decompose_shares(

@@ -21,6 +21,13 @@ class UndefinedIndexError(ValueError):
     """Raised for an industry with zero trade on both sides (X + M = 0)."""
 
 
+def check_fraction(name: str, value: float) -> float:
+    """Return `value` if 0 < value < 1; otherwise raise ValueError naming it."""
+    if not 0 < value < 1:
+        raise ValueError(f"{name} must be in (0, 1), got {value}")
+    return value
+
+
 class TradeType(Enum):
     ONE_WAY = "one_way"
     TWO_WAY = "two_way"
@@ -41,8 +48,8 @@ class TradeTypeMethod:
     def __post_init__(self) -> None:
         if self.kind not in ("vona", "abd_el_rahman"):
             raise ValueError(f"unknown trade-type method {self.kind!r}")
-        if self.kind == "abd_el_rahman" and not 0 < self.threshold < 1:
-            raise ValueError(f"threshold must be in (0, 1), got {self.threshold}")
+        if self.kind == "abd_el_rahman":
+            check_fraction("threshold", self.threshold)
 
     @classmethod
     def vona(cls) -> "TradeTypeMethod":

@@ -11,18 +11,18 @@ ratio movements, so hairline crossings are reported rather than smoothed.
 
 from __future__ import annotations
 
-import csv
-import io
+import re
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from iitkit.differentiation import (
     Differentiation,
     DifferentiationMethod,
     SharesReport,
+    _csv_text,
     decompose_shares,
 )
-from iitkit.indices import TradeTypeMethod
+from iitkit.indices import TradeTypeMethod, check_fraction
 from iitkit.trade_data import FlowKey, IndustryGroup
 
 DEFAULT_ALPHA_GRID = (0.05, 0.10, 0.15, 0.20, 0.25, 0.30)
@@ -37,6 +37,15 @@ class FlipPoint:
     label_before: Differentiation
     label_after: Differentiation
 
+    # Names of values(), in order: the JSON keys, and the CSV header after "group_id".
+    FIELDS = (
+        "period", "reporter", "partner", "industry_code",
+        "alpha", "label_before", "label_after",
+    )
+
+    def values(self) -> tuple:
+        return (*self.key, self.alpha, self.label_before.value, self.label_after.value)
+
 
 @dataclass(frozen=True)
 class SweepResult:
@@ -48,18 +57,7 @@ class SweepResult:
         return {
             "alphas": list(self.alphas),
             "reports": [r.to_dict() for r in self.reports],
-            "flip_points": [
-                {
-                    "period": f.key.period,
-                    "reporter": f.key.reporter,
-                    "partner": f.key.partner,
-                    "industry_code": f.key.industry_code,
-                    "alpha": f.alpha,
-                    "label_before": f.label_before.value,
-                    "label_after": f.label_after.value,
-                }
-                for f in self.flip_points
-            ],
+            "flip_points": [dict(zip(FlipPoint.FIELDS, f.values())) for f in self.flip_points],
         }
 
 
@@ -74,23 +72,30 @@ class Transition:
     label_from: Differentiation
     label_to: Differentiation
 
+    # Names of values(), in order: the JSON keys, and the CSV header after "group_id".
+    FIELDS = (
+        "reporter", "partner", "industry_code", "period_from", "period_to",
+        "ratio_from", "ratio_to", "label_from", "label_to", "flipped",
+    )
+
     @property
     def flipped(self) -> bool:
         return self.label_from is not self.label_to
 
+    def values(self) -> tuple:
+        return (
+            *self.key_from[1:],
+            self.key_from.period,
+            self.key_to.period,
+            self.ratio_from,
+            self.ratio_to,
+            self.label_from.value,
+            self.label_to.value,
+            self.flipped,
+        )
+
     def to_dict(self) -> dict:
-        return {
-            "reporter": self.key_from.reporter,
-            "partner": self.key_from.partner,
-            "industry_code": self.key_from.industry_code,
-            "period_from": self.key_from.period,
-            "period_to": self.key_to.period,
-            "ratio_from": self.ratio_from,
-            "ratio_to": self.ratio_to,
-            "label_from": self.label_from.value,
-            "label_to": self.label_to.value,
-            "flipped": self.flipped,
-        }
+        return dict(zip(self.FIELDS, self.values()))
 
 
 @dataclass(frozen=True)
@@ -99,10 +104,6 @@ class TransitionReport:
     alpha: float
     transitions: tuple[Transition, ...]
     skipped: int  # industries absent or unclassifiable in either period of a pair
-
-    @property
-    def flips(self) -> tuple[Transition, ...]:
-        return tuple(t for t in self.transitions if t.flipped)
 
     def to_dict(self) -> dict:
         return {
@@ -117,8 +118,7 @@ def _validate_alphas(alphas: Sequence[float]) -> tuple[float, ...]:
     if not alphas:
         raise ValueError("alphas must be nonempty")
     for a in alphas:
-        if not 0 < a < 1:
-            raise ValueError(f"alpha {a} out of range (0, 1)")
+        check_fraction("alpha", a)
     for lo, hi in zip(alphas, alphas[1:]):
         if lo >= hi:
             raise ValueError(f"alphas must be strictly increasing, got {lo} before {hi}")
@@ -145,13 +145,10 @@ def alpha_sweep(
         decompose_shares(group, DifferentiationMethod(family, a), type_method)
         for a in alphas
     )
+    labels = [_labels_of(r) for r in reports]
 
     flips: list[FlipPoint] = []
-    for (a_lo, r_lo), (a_hi, r_hi) in zip(
-        zip(alphas, reports), zip(alphas[1:], reports[1:])
-    ):
-        lo_labels = _labels_of(r_lo)
-        hi_labels = _labels_of(r_hi)
+    for a_hi, lo_labels, hi_labels in zip(alphas[1:], labels, labels[1:]):
         for key, before in lo_labels.items():
             after = hi_labels.get(key)
             if after is not None and after is not before:
@@ -159,19 +156,30 @@ def alpha_sweep(
     return SweepResult(alphas, reports, tuple(flips))
 
 
+def _period_order(period: str) -> tuple[list, str]:
+    """Natural sort key: digit runs compare as integers, so 2020M9 < 2020M10.
+
+    `re.split` with a capturing group puts the digit runs at odd positions,
+    so two keys never compare a str with an int; the raw label breaks ties
+    such as 2020M9 vs 2020M09.
+    """
+    parts: list = re.split(r"(\d+)", period)
+    parts[1::2] = map(int, parts[1::2])
+    return parts, period
+
+
 def nature_transitions(
     panel: Iterable[IndustryGroup],
     alpha: float,
     family: str,
     type_method: TradeTypeMethod,
-    period_key: Callable[[str], object] | None = None,
 ) -> TransitionReport:
     """Track label changes of each industry across consecutive periods.
 
     `panel` holds one group per period for the same reporter/partner pair.
-    Periods are ordered lexicographically by label unless `period_key`
-    supplies another sort key. Industries absent or unclassifiable in either
-    period of a pair are skipped and counted.
+    Periods are ordered naturally by label, digit runs as numbers.
+    Industries absent or unclassifiable in either period of a pair are
+    skipped and counted.
     """
     groups = list(panel)
     by_period: dict[str, IndustryGroup] = {}
@@ -183,17 +191,15 @@ def nature_transitions(
     if len(by_period) < 2:
         raise ValueError(f"panel needs at least 2 periods, got {len(by_period)}")
 
-    periods = sorted(by_period, key=period_key or (lambda p: p))
+    periods = sorted(by_period, key=_period_order)
     method = DifferentiationMethod(family, alpha)
+    reports = [decompose_shares(by_period[p], method, type_method) for p in periods]
+    # Match on (reporter, partner, industry_code); period differs by design.
+    details = [{d.key[1:]: d for d in r.details} for r in reports]
 
     transitions: list[Transition] = []
     skipped = 0
-    for p_from, p_to in zip(periods, periods[1:]):
-        report_from = decompose_shares(by_period[p_from], method, type_method)
-        report_to = decompose_shares(by_period[p_to], method, type_method)
-        # Match on (reporter, partner, industry_code); period differs by design.
-        from_map = {d.key[1:]: d for d in report_from.details}
-        to_map = {d.key[1:]: d for d in report_to.details}
+    for from_map, to_map in zip(details, details[1:]):
         for ident in sorted(from_map.keys() | to_map.keys()):
             d_from = from_map.get(ident)
             d_to = to_map.get(ident)
@@ -216,35 +222,15 @@ def nature_transitions(
 
 def sweep_flips_to_csv(sweeps: list[tuple[str, SweepResult]]) -> str:
     """Flip table CSV: one row per (industry, alpha boundary)."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(
-        ("group_id", "period", "reporter", "partner", "industry_code",
-         "alpha", "label_before", "label_after")
+    return _csv_text(
+        ("group_id", *FlipPoint.FIELDS),
+        ((group_id, *f.values()) for group_id, sweep in sweeps for f in sweep.flip_points),
     )
-    for group_id, sweep in sweeps:
-        for f in sweep.flip_points:
-            writer.writerow(
-                (group_id, f.key.period, f.key.reporter, f.key.partner,
-                 f.key.industry_code, f.alpha, f.label_before.value, f.label_after.value)
-            )
-    return buf.getvalue()
 
 
 def transitions_to_csv(reports: list[tuple[str, TransitionReport]]) -> str:
     """Transition table CSV: one row per (industry, period boundary)."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(
-        ("group_id", "reporter", "partner", "industry_code", "period_from",
-         "period_to", "ratio_from", "ratio_to", "label_from", "label_to", "flipped")
+    return _csv_text(
+        ("group_id", *Transition.FIELDS),
+        ((group_id, *t.values()) for group_id, report in reports for t in report.transitions),
     )
-    for group_id, report in reports:
-        for t in report.transitions:
-            row = t.to_dict()
-            writer.writerow(
-                (group_id, row["reporter"], row["partner"], row["industry_code"],
-                 row["period_from"], row["period_to"], row["ratio_from"],
-                 row["ratio_to"], row["label_from"], row["label_to"], row["flipped"])
-            )
-    return buf.getvalue()

@@ -68,25 +68,6 @@ class FlowKey(NamedTuple):
 
 
 @dataclass(frozen=True, slots=True)
-class FlowRecord:
-    """One raw parsed row of trade data."""
-
-    period: str
-    reporter: str
-    partner: str
-    industry_code: str
-    export_value: float
-    import_value: float
-    export_volume: float | None = None
-    import_volume: float | None = None
-    volume_unit: str | None = None
-
-    @property
-    def key(self) -> FlowKey:
-        return FlowKey(self.period, self.reporter, self.partner, self.industry_code)
-
-
-@dataclass(frozen=True, slots=True)
 class IndustryFlow:
     """Paired export/import observation for one industry x period x partner."""
 
@@ -100,14 +81,6 @@ class IndustryFlow:
     @property
     def total_trade(self) -> float:
         return self.export_value + self.import_value
-
-    @property
-    def minority(self) -> float:
-        return min(self.export_value, self.import_value)
-
-    @property
-    def majority(self) -> float:
-        return max(self.export_value, self.import_value)
 
 
 @dataclass(frozen=True)
@@ -140,9 +113,8 @@ class IndustryGroup:
 class CleanResult:
     """Merged flows plus the tallies of one ingestion pass.
 
-    `rows_read` counts the records merged (for a table, its non-blank data
-    rows); `dropped_zero_trade` counts the keys whose merged trade was zero
-    on both sides.
+    `rows_read` counts the table's non-blank data rows; `dropped_zero_trade`
+    counts the keys whose merged trade was zero on both sides.
     """
 
     flows: tuple[IndustryFlow, ...]
@@ -172,9 +144,7 @@ def _parse_optional_value(cell: str, column: str, row_number: int) -> float | No
     return _parse_value(cell, column, row_number)
 
 
-def _validated_rows(
-    source: IO[bytes] | IO[str] | Iterable[str], delimiter: str = ","
-) -> Iterator[_Row]:
+def _validated_rows(source: IO[bytes] | IO[str] | Iterable[str]) -> Iterator[_Row]:
     """Check the header, then validate each data row and yield it as a plain tuple.
 
     `source` is a binary or text stream (binary is decoded as UTF-8). Raises
@@ -183,7 +153,7 @@ def _validated_rows(
     if hasattr(source, "read") and isinstance(source.read(0), bytes):
         source = io.TextIOWrapper(source, encoding="utf-8", newline="")
 
-    reader = csv.reader(source, delimiter=delimiter)
+    reader = csv.reader(source)
     try:
         header = next(reader)
     except StopIteration:
@@ -274,47 +244,16 @@ def _merge(rows: Iterable[_Row]) -> CleanResult:
     return CleanResult(tuple(flows), dropped, rows_read)
 
 
-def read_flows(
-    source: IO[bytes] | IO[str] | Iterable[str], delimiter: str = ","
-) -> CleanResult:
-    """Parse, validate and merge a delimited trade table in one pass.
+def read_flows(source: IO[bytes] | IO[str] | Iterable[str]) -> CleanResult:
+    """Parse, validate and merge a trade table in one pass.
 
-    Equal to `pair_and_clean(parse_flow_records(source, delimiter))`, without
-    building a record per row. Raises FlowParseError on a malformed row and
+    This is the one ingestion entry point. `source` is a binary or text
+    stream (binary is decoded as UTF-8). Records sharing a key are merged by
+    summation: values always sum; volumes sum only while every contributing
+    record agrees on the unit. Raises FlowParseError on a malformed row and
     UnitConflictError on a key whose records disagree on the volume unit.
     """
-    return _merge(_validated_rows(source, delimiter))
-
-
-def parse_flow_records(
-    source: IO[bytes] | IO[str] | Iterable[str], delimiter: str = ","
-) -> list[FlowRecord]:
-    """Parse a delimited trade table into FlowRecords, one per data row.
-
-    `source` is a binary or text stream (binary is decoded as UTF-8). Raises
-    FlowParseError with the offending 1-based row number on any malformed row.
-    """
-    return [FlowRecord(*key, *rest) for key, *rest in _validated_rows(source, delimiter)]
-
-
-def pair_and_clean(records: Iterable[FlowRecord | IndustryFlow]) -> CleanResult:
-    """Merge records sharing a key by summation and drop zero-trade industries.
-
-    Values always sum; volumes sum only while every contributing record agrees
-    on the unit (UnitConflictError otherwise). Idempotent: feeding the output
-    back in reproduces it.
-    """
-    return _merge(
-        (
-            tuple(rec.key),
-            rec.export_value,
-            rec.import_value,
-            rec.export_volume,
-            rec.import_volume,
-            rec.volume_unit,
-        )
-        for rec in records
-    )
+    return _merge(_validated_rows(source))
 
 
 def apply_grouping(

@@ -100,6 +100,14 @@ class TestCompute:
         assert code == 2
         assert "000002" in capsys.readouterr().err
 
+    def test_unwritable_output_exits_1(self, flows_csv, tmp_path, capsys):
+        out = tmp_path / "missing" / "report.json"
+        assert run("compute", "--input", flows_csv, "--output", out) == 1
+        assert capsys.readouterr().err == (
+            f"error: cannot write {out}: No such file or directory\n"
+        )
+        assert not out.parent.exists()
+
     def test_deterministic_output(self, flows_csv, tmp_path):
         out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
         run("compute", "--input", flows_csv, "--output", out1)
@@ -146,6 +154,20 @@ class TestTransitions:
         run("transitions", "--input", panel_csv, "--alpha", "0.25", "--output", out)
         (t,) = json.loads(out.read_text())["panels"][0]["transitions"]
         assert t["flipped"] is False
+
+    def test_natural_period_order_csv(self, tmp_path, capsys):
+        path = tmp_path / "months.csv"
+        path.write_text(
+            f"{HEADER}\n"
+            "2020M10,FRA,DEU,1,100,100,100,100,unit\n"
+            "2020M2,FRA,DEU,1,120,100,100,100,unit\n"
+            "2020M9,FRA,DEU,1,100,100,100,100,unit\n"
+        )
+        assert run("transitions", "--input", path, "--format", "csv") == 0
+        assert capsys.readouterr().out.splitlines()[1:] == [
+            "1,FRA,DEU,1,2020M2,2020M9,1.2,1.0,vertical_high,horizontal,True",
+            "1,FRA,DEU,1,2020M9,2020M10,1.0,1.0,horizontal,horizontal,False",
+        ]
 
     def test_single_period_exits_1(self, flows_csv, capsys):
         assert run("transitions", "--input", flows_csv) == 1
@@ -199,3 +221,72 @@ class TestBundledData:
         ]
         assert len(flips) == 1
         assert flips[0]["industry_code"] == "000001"
+
+
+class TestWireSchema:
+    """The exact CSV headers and JSON key lists of each report, in order."""
+
+    SHARES = [
+        "period", "reporter", "partner", "group_id", "family", "alpha", "type_method",
+        "aer_threshold", "total_trade", "iit", "hiit", "viit", "hqviit", "lqviit",
+        "unclassified_share",
+    ]
+    FLIP = [
+        "period", "reporter", "partner", "industry_code", "alpha", "label_before", "label_after",
+    ]
+    TRANSITION = [
+        "reporter", "partner", "industry_code", "period_from", "period_to",
+        "ratio_from", "ratio_to", "label_from", "label_to", "flipped",
+    ]
+    CONFIG = [
+        "command", "input", "group_map", "group_policy", "family", "type_method",
+        "aer_threshold", "format",
+    ]
+
+    @pytest.mark.parametrize(
+        "command, dataset, header",
+        [
+            ("compute", example_flows_path, SHARES),
+            ("sweep", example_flows_path, ["group_id", *FLIP]),
+            ("transitions", example_panel_path, ["group_id", *TRANSITION]),
+        ],
+    )
+    def test_csv_header(self, command, dataset, header, capsys):
+        assert run(command, "--input", dataset(), "--format", "csv") == 0
+        assert capsys.readouterr().out.split("\n", 1)[0] == ",".join(header)
+
+    def json_doc(self, command, dataset, capsys):
+        assert run(command, "--input", dataset()) == 0
+        return json.loads(capsys.readouterr().out)
+
+    def test_compute_json_keys(self, capsys):
+        doc = self.json_doc("compute", example_flows_path, capsys)
+        assert list(doc) == ["config", "reports"]
+        assert list(doc["config"]) == [*self.CONFIG, "alpha"]
+        report = doc["reports"][0]
+        assert list(report) == [*self.SHARES, "industries"]
+        assert list(report["industries"][0]) == [
+            "period", "reporter", "partner", "industry_code", "trade_type", "ratio",
+            "label", "unclassifiable", "contribution",
+        ]
+
+    def test_sweep_json_keys(self, capsys):
+        doc = self.json_doc("sweep", example_flows_path, capsys)
+        assert list(doc) == ["config", "sweeps"]
+        assert list(doc["config"]) == [*self.CONFIG, "alphas"]
+        sweep = doc["sweeps"][0]
+        assert list(sweep) == [
+            "group_id", "period", "reporter", "partner", "alphas", "reports", "flip_points",
+        ]
+        assert list(sweep["reports"][0]) == [*self.SHARES, "industries"]
+        assert list(sweep["flip_points"][0]) == self.FLIP
+
+    def test_transitions_json_keys(self, capsys):
+        doc = self.json_doc("transitions", example_panel_path, capsys)
+        assert list(doc) == ["config", "panels"]
+        assert list(doc["config"]) == [*self.CONFIG, "alpha", "single_period_panels_skipped"]
+        panel = doc["panels"][0]
+        assert list(panel) == [
+            "reporter", "partner", "group_id", "family", "alpha", "skipped", "transitions",
+        ]
+        assert list(panel["transitions"][0]) == self.TRANSITION

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import assume, given, strategies as st
 
@@ -228,3 +230,21 @@ def test_alpha_validation():
         DifferentiationMethod("ghm", 0.0)
     with pytest.raises(ValueError):
         DifferentiationMethod("nope", 0.15)
+
+
+@given(st.floats(0.001, 0.999), st.sampled_from(["ghm", "ff"]))
+def test_method_band_edges_inclusive(alpha, family):
+    # The edges come from the same float expressions as the rule's definition,
+    # so a ratio exactly on an edge is horizontal and the next float out is not.
+    method = DifferentiationMethod(family, alpha)
+    classify = classify_ghm if family == "ghm" else classify_ff
+    lower = 1 - alpha if family == "ghm" else 1 / (1 + alpha)
+    upper = 1 + alpha
+    for ratio, label in (
+        (lower, H),
+        (upper, H),
+        (math.nextafter(lower, 0.0), VL),
+        (math.nextafter(upper, math.inf), VH),
+    ):
+        assert method.classify(ratio) is label
+        assert classify(ratio, alpha) is label

@@ -124,13 +124,16 @@ class TestNatureTransitions:
         assert report.transitions == ()
         assert report.skipped == 1
 
-    def test_custom_period_order(self):
-        panel = self.panel(1.151, 1.149)
-        reversed_report = nature_transitions(
-            panel, 0.15, "ghm", AER, period_key=lambda p: -int(p)
-        )
-        (t,) = reversed_report.transitions
-        assert (t.key_from.period, t.key_to.period) == ("2021", "2020")
+    def test_natural_period_order(self):
+        # As plain strings 2020M10 sorts before 2020M2 and 2020M9.
+        panel = [
+            make_group([ratio_flow(1.0, period=p)]) for p in ("2020M10", "2020M2", "2020M9")
+        ]
+        report = nature_transitions(panel, 0.15, "ghm", AER)
+        assert [(t.key_from.period, t.key_to.period) for t in report.transitions] == [
+            ("2020M2", "2020M9"),
+            ("2020M9", "2020M10"),
+        ]
 
     def test_three_periods_produce_two_pairs(self):
         panel = [

@@ -6,12 +6,10 @@ from hypothesis import given, strategies as st
 from iitkit.trade_data import (
     FlowKey,
     FlowParseError,
-    FlowRecord,
+    IndustryFlow,
     UnitConflictError,
     UnmappedCodeError,
     apply_grouping,
-    pair_and_clean,
-    parse_flow_records,
     read_flows,
     read_grouping_map,
 )
@@ -20,21 +18,23 @@ HEADER = "period,reporter,partner,industry_code,export_value,import_value,export
 
 
 def parse(text: str):
-    return parse_flow_records(io.StringIO(text))
+    return read_flows(io.StringIO(text))
 
 
 class TestParseFlowRecords:
+    """Row validation, through read_flows."""
+
     def test_full_row(self):
-        records = parse(f"{HEADER}\n2020,FRA,DEU,870321,100.0,80.0,10,8,unit\n")
-        assert records == [
-            FlowRecord("2020", "FRA", "DEU", "870321", 100.0, 80.0, 10.0, 8.0, "unit")
-        ]
+        result = parse(f"{HEADER}\n2020,FRA,DEU,870321,100.0,80.0,10,8,unit\n")
+        assert result.flows == (
+            IndustryFlow(FlowKey("2020", "FRA", "DEU", "870321"), 100.0, 80.0, 10.0, 8.0, "unit"),
+        )
 
     def test_empty_qty_cells_mean_absent(self):
-        (rec,) = parse(f"{HEADER}\n2020,FRA,DEU,870321,100.0,80.0,,,\n")
-        assert rec.export_volume is None
-        assert rec.import_volume is None
-        assert rec.volume_unit is None
+        (flow,) = parse(f"{HEADER}\n2020,FRA,DEU,870321,100.0,80.0,,,\n").flows
+        assert flow.export_volume is None
+        assert flow.import_volume is None
+        assert flow.volume_unit is None
 
     def test_negative_value_rejected_with_row_number(self):
         with pytest.raises(FlowParseError) as exc:
@@ -60,8 +60,8 @@ class TestParseFlowRecords:
 
     def test_byte_stream_and_crlf(self):
         raw = f"{HEADER}\r\n2020,FRA,DEU,870321,1,2,,,\r\n".encode()
-        records = parse_flow_records(io.BytesIO(raw))
-        assert records[0].import_value == 2.0
+        (flow,) = read_flows(io.BytesIO(raw)).flows
+        assert flow.import_value == 2.0
 
     def test_row_numbers_count_from_header(self):
         text = f"{HEADER}\n2020,FRA,DEU,1,1,1,,,\n2020,FRA,DEU,2,x,1,,,\n"
@@ -71,45 +71,31 @@ class TestParseFlowRecords:
 
 
 class TestPairAndClean:
+    """Key-level merging, through read_flows."""
+
     def test_additive_merge(self):
-        records = parse(
+        result = parse(
             f"{HEADER}\n2020,FRA,DEU,1,50,0,,,\n2020,FRA,DEU,1,0,30,,,\n"
         )
-        result = pair_and_clean(records)
         (flow,) = result.flows
         assert (flow.export_value, flow.import_value) == (50.0, 30.0)
         assert result.dropped_zero_trade == 0
 
     def test_zero_trade_dropped_and_tallied(self):
-        records = parse(f"{HEADER}\n2020,FRA,DEU,1,0,0,,,\n2020,FRA,DEU,2,1,0,,,\n")
-        result = pair_and_clean(records)
+        result = parse(f"{HEADER}\n2020,FRA,DEU,1,0,0,,,\n2020,FRA,DEU,2,1,0,,,\n")
         assert [f.key.industry_code for f in result.flows] == ["2"]
         assert result.dropped_zero_trade == 1
 
     def test_unit_conflict_rejected(self):
-        records = parse(
-            f"{HEADER}\n2020,FRA,DEU,1,5,0,10,,kg\n2020,FRA,DEU,1,0,5,,10,unit\n"
-        )
         with pytest.raises(UnitConflictError) as exc:
-            pair_and_clean(records)
+            parse(f"{HEADER}\n2020,FRA,DEU,1,5,0,10,,kg\n2020,FRA,DEU,1,0,5,,10,unit\n")
         assert exc.value.key == FlowKey("2020", "FRA", "DEU", "1")
 
     def test_volumes_merge_when_units_agree(self):
-        records = parse(
+        (flow,) = parse(
             f"{HEADER}\n2020,FRA,DEU,1,5,0,10,,kg\n2020,FRA,DEU,1,0,5,2,3,kg\n"
-        )
-        (flow,) = pair_and_clean(records).flows
+        ).flows
         assert (flow.export_volume, flow.import_volume) == (12.0, 3.0)
-
-    def test_idempotent(self):
-        records = parse(
-            f"{HEADER}\n2020,FRA,DEU,1,5,1,10,2,kg\n2020,FRA,DEU,1,2,3,1,1,kg\n"
-            f"2020,FRA,DEU,2,7,7,,,\n"
-        )
-        once = pair_and_clean(records)
-        twice = pair_and_clean(once.flows)
-        assert twice.flows == once.flows
-        assert twice.dropped_zero_trade == 0
 
     @given(
         st.lists(
@@ -122,20 +108,19 @@ class TestPairAndClean:
         )
     )
     def test_value_totals_conserved(self, rows):
-        records = [
-            FlowRecord("2020", "FRA", "DEU", code, xv, mv) for code, xv, mv in rows
-        ]
-        result = pair_and_clean(records)
+        # repr round-trips a float exactly, so the table holds the drawn values.
+        body = "".join(f"2020,FRA,DEU,{code},{xv!r},{mv!r},,,\n" for code, xv, mv in rows)
+        result = parse(f"{HEADER}\n{body}")
         assert sum(f.export_value for f in result.flows) == pytest.approx(
-            sum(r.export_value for r in records), abs=1e-6
+            sum(xv for _, xv, _ in rows), abs=1e-6
         )
         assert sum(f.import_value for f in result.flows) == pytest.approx(
-            sum(r.import_value for r in records), abs=1e-6
+            sum(mv for _, _, mv in rows), abs=1e-6
         )
 
 
 class TestReadFlows:
-    def test_single_pass_matches_parse_then_merge(self):
+    def test_key_order_drops_and_rows_read(self):
         raw = (
             f"{HEADER}\r\n"
             "2020,FRA,DEU,1,5,1,10,2,kg\r\n"
@@ -146,18 +131,19 @@ class TestReadFlows:
             "\r\n"
         ).encode()
         result = read_flows(io.BytesIO(raw))
-        assert result == pair_and_clean(parse_flow_records(io.BytesIO(raw)))
         assert [f.key.industry_code for f in result.flows] == ["1", "3"]
+        one = result.flows[0]
+        assert (one.export_value, one.import_value) == (5 + 2 + 0.1, 1 + 3 + 0.2)
+        assert (one.export_volume, one.import_volume, one.volume_unit) == (11.0, 2.0, "kg")
         assert result.dropped_zero_trade == 1
         assert result.rows_read == 5
 
 
 class TestApplyGrouping:
     def _flows(self):
-        records = parse(
+        return parse(
             f"{HEADER}\n2020,FRA,DEU,1,1,1,,,\n2020,FRA,DEU,2,2,2,,,\n2020,FRA,DEU,3,3,3,,,\n"
-        )
-        return pair_and_clean(records).flows
+        ).flows
 
     def test_all_mapped_to_one_group(self):
         groups = apply_grouping(self._flows(), {"1": "G1", "2": "G1", "3": "G1"})
@@ -185,10 +171,9 @@ class TestApplyGrouping:
         assert len(seen) == len(set(seen))
 
     def test_snapshots_not_mixed(self):
-        records = parse(
+        flows = parse(
             f"{HEADER}\n2020,FRA,DEU,1,1,1,,,\n2021,FRA,DEU,1,1,1,,,\n"
-        )
-        flows = pair_and_clean(records).flows
+        ).flows
         groups = apply_grouping(flows, {"1": "G1"})
         assert len(groups) == 2
         assert {g.snapshot[0] for g in groups} == {"2020", "2021"}
