@@ -12,8 +12,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import shutil
 import sys
 from pathlib import Path
+from typing import Callable
 
 from iitkit.differentiation import (
     FAMILIES,
@@ -143,7 +146,7 @@ def _read_input(args: argparse.Namespace) -> CleanResult:
     try:
         with open(path, "rb") as fh:
             return read_flows(fh)
-    except (FlowParseError, UnitConflictError) as exc:
+    except (FlowParseError, UnitConflictError, OverflowError) as exc:
         raise DataError(f"{path}: {exc}") from exc
 
 
@@ -171,36 +174,61 @@ def _type_method(args: argparse.Namespace) -> TradeTypeMethod:
     return TradeTypeMethod.abd_el_rahman(args.aer_threshold)
 
 
-def _config_dict(args: argparse.Namespace) -> dict:
-    config = {
-        "command": args.command,
-        "input": args.input,
-        "group_map": args.group_map,
-        "group_policy": args.group_policy,
-        "family": args.family,
-        "type_method": args.type_method,
-        "aer_threshold": args.aer_threshold,
-        "format": args.format,
-    }
-    if hasattr(args, "alpha"):
-        config["alpha"] = args.alpha
-    if hasattr(args, "alphas"):
-        config["alphas"] = args.alphas
-    return config
+# The options a JSON report echoes in its config, in order; a subcommand
+# has either alpha or alphas.
+_CONFIG_KEYS = (
+    "command", "input", "group_map", "group_policy", "family", "type_method",
+    "aer_threshold", "format", "alpha", "alphas",
+)
 
 
-def _write_output(text: str, output: str | None) -> None:
-    if output is None:
-        sys.stdout.write(text)
-    else:
+def _write_report(
+    args: argparse.Namespace, key: str, records: list, to_csv: Callable[[list], str], **extra
+) -> int:
+    """Write the records as `to_csv(records)` or as a JSON document holding them under `key`.
+
+    The JSON document starts with the run's config, extended by `extra`.
+    With --output naming a file, the report goes to a temporary file beside
+    it, which replaces it only once the report is complete.
+    """
+
+    def write(fh) -> None:
+        if args.format == "csv":
+            fh.write(to_csv(records))
+            return
+        options = vars(args)
+        config = {**{k: options[k] for k in _CONFIG_KEYS if k in options}, **extra}
+        document = {"config": config, key: [r.to_dict() for r in records]}
         try:
-            Path(output).write_text(text, encoding="utf-8")
-        except OSError as exc:
-            raise ConfigError(f"cannot write {output}: {exc.strerror or exc}") from exc
+            json.dump(document, fh, indent=2, allow_nan=False)
+        except ValueError as exc:
+            raise DataError(f"report holds a number JSON cannot encode: {exc}") from exc
+        fh.write("\n")
 
-
-def _json_document(config: dict, key: str, payload) -> str:
-    return json.dumps({"config": config, key: payload}, indent=2) + "\n"
+    if args.output is None:
+        write(sys.stdout)
+        return EXIT_OK
+    output = Path(args.output)
+    try:
+        if output.exists() and not output.is_file():
+            # A device or pipe, such as /dev/null, cannot be replaced: write it in place.
+            with open(output, "w", encoding="utf-8") as fh:
+                write(fh)
+            return EXIT_OK
+        path = Path(os.path.realpath(output))  # through a symlink, replace its target
+        tmp = Path(f"{path}.{os.urandom(4).hex()}.tmp")
+        try:
+            with open(tmp, "x", encoding="utf-8") as fh:  # mode bits as open(path, "w") gives
+                write(fh)
+            if path.exists():
+                shutil.copymode(path, tmp)
+            os.replace(tmp, path)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
+    except OSError as exc:
+        raise ConfigError(f"cannot write {args.output}: {exc.strerror or exc}") from exc
+    return EXIT_OK
 
 
 def _run_compute(args: argparse.Namespace) -> int:
@@ -208,35 +236,14 @@ def _run_compute(args: argparse.Namespace) -> int:
     method = DifferentiationMethod(args.family, args.alpha)
     type_method = _type_method(args)
     reports = [decompose_shares(g, method, type_method) for g in groups]
-    if args.format == "json":
-        text = _json_document(_config_dict(args), "reports", [r.to_dict() for r in reports])
-    else:
-        text = reports_to_csv(reports)
-    _write_output(text, args.output)
-    return EXIT_OK
+    return _write_report(args, "reports", reports, reports_to_csv)
 
 
 def _run_sweep(args: argparse.Namespace) -> int:
     groups = _load_groups(args)
     type_method = _type_method(args)
-    sweeps = [
-        (g.group_id, alpha_sweep(g, args.alphas, args.family, type_method))
-        for g in groups
-    ]
-    if args.format == "json":
-        payload = [
-            {
-                "group_id": group_id,
-                **dict(zip(("period", "reporter", "partner"), group.snapshot)),
-                **sweep.to_dict(),
-            }
-            for (group_id, sweep), group in zip(sweeps, groups)
-        ]
-        text = _json_document(_config_dict(args), "sweeps", payload)
-    else:
-        text = sweep_flips_to_csv(sweeps)
-    _write_output(text, args.output)
-    return EXIT_OK
+    sweeps = [alpha_sweep(g, args.alphas, args.family, type_method) for g in groups]
+    return _write_report(args, "sweeps", sweeps, sweep_flips_to_csv)
 
 
 def _run_transitions(args: argparse.Namespace) -> int:
@@ -248,37 +255,20 @@ def _run_transitions(args: argparse.Namespace) -> int:
         )
     type_method = _type_method(args)
 
+    # One panel per (reporter, partner, group), one group per period in each.
     panels: dict[tuple[str, str, str], list[IndustryGroup]] = {}
     for group in groups:
         _, reporter, partner = group.snapshot
         panels.setdefault((reporter, partner, group.group_id), []).append(group)
-
-    results = []
-    single_period_panels = 0
-    for (reporter, partner, group_id), series in sorted(panels.items()):
-        if len({g.snapshot[0] for g in series}) < 2:
-            single_period_panels += 1
-            continue
-        report = nature_transitions(series, args.alpha, args.family, type_method)
-        results.append((reporter, partner, group_id, report))
-
-    if args.format == "json":
-        payload = [
-            {
-                "reporter": reporter,
-                "partner": partner,
-                "group_id": group_id,
-                **report.to_dict(),
-            }
-            for reporter, partner, group_id, report in results
-        ]
-        config = _config_dict(args)
-        config["single_period_panels_skipped"] = single_period_panels
-        text = _json_document(config, "panels", payload)
-    else:
-        text = transitions_to_csv([(gid, rep) for _, _, gid, rep in results])
-    _write_output(text, args.output)
-    return EXIT_OK
+    reports = [
+        nature_transitions(series, args.alpha, args.family, type_method)
+        for _, series in sorted(panels.items())
+        if len(series) > 1
+    ]
+    return _write_report(
+        args, "panels", reports, transitions_to_csv,
+        single_period_panels_skipped=len(panels) - len(reports),
+    )
 
 
 def _run_validate(args: argparse.Namespace) -> int:
@@ -306,7 +296,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except DataError as exc:
+    except (DataError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Sequence
@@ -99,7 +100,11 @@ class DifferentiationMethod:
 
 
 def unit_value_ratio(flow: IndustryFlow) -> UnitValueRatio | UnclassifiableReason:
-    """Compute X/x, M/m and their ratio, or say why that is impossible."""
+    """Compute X/x, M/m and their ratio, or say why that is impossible.
+
+    Raises OverflowError when the ratio of finite positive inputs is not a
+    positive finite float, because a unit value over- or underflowed.
+    """
     if flow.export_volume is None or flow.import_volume is None:
         return UnclassifiableReason.MISSING_VOLUME
     if flow.export_volume == 0 or flow.import_volume == 0:
@@ -108,7 +113,13 @@ def unit_value_ratio(flow: IndustryFlow) -> UnitValueRatio | UnclassifiableReaso
         return UnclassifiableReason.ZERO_VALUE
     vux = flow.export_value / flow.export_volume
     vum = flow.import_value / flow.import_volume
-    return UnitValueRatio(vux, vum, vux / vum)
+    ratio = vux / vum if vum > 0 else math.inf  # M/m can underflow to 0
+    if not 0 < ratio < math.inf:  # also false for NaN
+        raise OverflowError(
+            f"unit-value ratio of key {tuple(flow.key)} is {ratio}: "
+            "a unit value over- or underflows the float range"
+        )
+    return UnitValueRatio(vux, vum, ratio)
 
 
 @dataclass(frozen=True)
@@ -225,9 +236,14 @@ def decompose_shares(
     attributes it wholly by classify_ghm on the industry's ratio. FF
     accounting counts the full trade X+M of each two-way industry (per
     `type_method`) and attributes it by classify_ff. Industries whose ratio
-    cannot be formed move their IIT amount into unclassified_share.
+    cannot be formed move their IIT amount into unclassified_share. Raises
+    OverflowError when the group's total trade exceeds the float range.
     """
     total = group.total_trade
+    if total == math.inf:
+        raise OverflowError(
+            f"total trade of group {group.group_id!r} in {group.snapshot} exceeds the float range"
+        )
     ghm = diff_method.family == "ghm"
 
     iit = hiit = hq = lq = unclassified = 0.0

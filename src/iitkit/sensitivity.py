@@ -49,12 +49,18 @@ class FlipPoint:
 
 @dataclass(frozen=True)
 class SweepResult:
+    """The share tables of one industry group over an alpha grid, and its flips."""
+
+    group_id: str
+    snapshot: tuple[str, str, str]
     alphas: tuple[float, ...]
     reports: tuple[SharesReport, ...]
     flip_points: tuple[FlipPoint, ...]
 
     def to_dict(self) -> dict:
         return {
+            "group_id": self.group_id,
+            **dict(zip(("period", "reporter", "partner"), self.snapshot)),
             "alphas": list(self.alphas),
             "reports": [r.to_dict() for r in self.reports],
             "flip_points": [dict(zip(FlipPoint.FIELDS, f.values())) for f in self.flip_points],
@@ -100,6 +106,11 @@ class Transition:
 
 @dataclass(frozen=True)
 class TransitionReport:
+    """The transitions of one industry group of one reporter/partner pair over its periods."""
+
+    reporter: str
+    partner: str
+    group_id: str
     family: str
     alpha: float
     transitions: tuple[Transition, ...]
@@ -107,6 +118,9 @@ class TransitionReport:
 
     def to_dict(self) -> dict:
         return {
+            "reporter": self.reporter,
+            "partner": self.partner,
+            "group_id": self.group_id,
             "family": self.family,
             "alpha": self.alpha,
             "skipped": self.skipped,
@@ -153,7 +167,7 @@ def alpha_sweep(
             after = hi_labels.get(key)
             if after is not None and after is not before:
                 flips.append(FlipPoint(key, a_hi, before, after))
-    return SweepResult(alphas, reports, tuple(flips))
+    return SweepResult(group.group_id, group.snapshot, alphas, reports, tuple(flips))
 
 
 def _period_order(period: str) -> tuple[list, str]:
@@ -176,12 +190,15 @@ def nature_transitions(
 ) -> TransitionReport:
     """Track label changes of each industry across consecutive periods.
 
-    `panel` holds one group per period for the same reporter/partner pair.
-    Periods are ordered naturally by label, digit runs as numbers.
-    Industries absent or unclassifiable in either period of a pair are
-    skipped and counted.
+    `panel` holds one group per period, all with the same reporter, partner
+    and group id. Periods are ordered naturally by label, digit runs as
+    numbers. Industries absent or unclassifiable in either period of a pair
+    are skipped and counted.
     """
     groups = list(panel)
+    panels = {(*g.snapshot[1:], g.group_id) for g in groups}
+    if len(panels) > 1:
+        raise ValueError(f"panel mixes reporter/partner/group: {sorted(panels)}")
     by_period: dict[str, IndustryGroup] = {}
     for group in groups:
         period = group.snapshot[0]
@@ -217,20 +234,23 @@ def nature_transitions(
                     d_from.label, d_to.label,
                 )
             )
-    return TransitionReport(family, alpha, tuple(transitions), skipped)
-
-
-def sweep_flips_to_csv(sweeps: list[tuple[str, SweepResult]]) -> str:
-    """Flip table CSV: one row per (industry, alpha boundary)."""
-    return _csv_text(
-        ("group_id", *FlipPoint.FIELDS),
-        ((group_id, *f.values()) for group_id, sweep in sweeps for f in sweep.flip_points),
+    (reporter, partner, group_id), = panels
+    return TransitionReport(
+        reporter, partner, group_id, family, alpha, tuple(transitions), skipped
     )
 
 
-def transitions_to_csv(reports: list[tuple[str, TransitionReport]]) -> str:
+def sweep_flips_to_csv(sweeps: list[SweepResult]) -> str:
+    """Flip table CSV: one row per (industry, alpha boundary)."""
+    return _csv_text(
+        ("group_id", *FlipPoint.FIELDS),
+        ((s.group_id, *f.values()) for s in sweeps for f in s.flip_points),
+    )
+
+
+def transitions_to_csv(reports: list[TransitionReport]) -> str:
     """Transition table CSV: one row per (industry, period boundary)."""
     return _csv_text(
         ("group_id", *Transition.FIELDS),
-        ((group_id, *t.values()) for group_id, report in reports for t in report.transitions),
+        ((r.group_id, *t.values()) for r in reports for t in r.transitions),
     )

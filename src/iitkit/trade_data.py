@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import csv
 import io
+import math
+import re
 from dataclasses import dataclass
 from typing import IO, Iterable, Iterator, NamedTuple
 
@@ -122,6 +124,9 @@ class CleanResult:
     rows_read: int
 
 
+# What errors="surrogateescape" decodes each byte that is not UTF-8 to.
+_SURROGATE = re.compile("[\udc80-\udcff]")
+
 # One validated row, ready to merge: (key, X, M, x, m, unit).
 _Row = tuple[tuple[str, str, str, str], float, float, float | None, float | None, str | None]
 
@@ -135,6 +140,8 @@ def _parse_value(cell: str, column: str, row_number: int) -> float:
         raise FlowParseError(row_number, f"{column} is NaN")
     if value < 0:
         raise FlowParseError(row_number, f"{column} is negative ({cell})")
+    if value == math.inf:
+        raise FlowParseError(row_number, f"{column} is not finite ({cell})")
     return value
 
 
@@ -144,15 +151,12 @@ def _parse_optional_value(cell: str, column: str, row_number: int) -> float | No
     return _parse_value(cell, column, row_number)
 
 
-def _validated_rows(source: IO[bytes] | IO[str] | Iterable[str]) -> Iterator[_Row]:
+def _validated_rows(source: IO[str] | Iterable[str]) -> Iterator[_Row]:
     """Check the header, then validate each data row and yield it as a plain tuple.
 
-    `source` is a binary or text stream (binary is decoded as UTF-8). Raises
-    FlowParseError with the offending 1-based row number on any malformed row.
+    Raises FlowParseError with the offending 1-based row number on any
+    malformed row.
     """
-    if hasattr(source, "read") and isinstance(source.read(0), bytes):
-        source = io.TextIOWrapper(source, encoding="utf-8", newline="")
-
     reader = csv.reader(source)
     try:
         header = next(reader)
@@ -163,6 +167,7 @@ def _validated_rows(source: IO[bytes] | IO[str] | Iterable[str]) -> Iterator[_Ro
             1, f"bad header {header!r}, expected {','.join(EXPECTED_HEADER)}"
         )
 
+    inf = math.inf
     for row_number, row in enumerate(reader, start=2):
         if not row:
             continue  # tolerate a trailing blank line
@@ -170,18 +175,18 @@ def _validated_rows(source: IO[bytes] | IO[str] | Iterable[str]) -> Iterator[_Ro
             raise FlowParseError(row_number, f"expected 9 fields, got {len(row)}")
         period, reporter, partner, code, xv, mv, xq, mq, unit = row
         try:
-            # Fast path: `not v >= 0` catches both negatives and NaN. The
-            # slow path re-parses field by field so the error names the
-            # offending column.
+            # Fast path: `not 0 <= v < inf` catches negatives, NaN and
+            # infinities. The slow path re-parses field by field so the error
+            # names the offending column.
             export_value = float(xv)
             import_value = float(mv)
             export_volume = float(xq) if xq else None
             import_volume = float(mq) if mq else None
             ok = (
-                export_value >= 0
-                and import_value >= 0
-                and (export_volume is None or export_volume >= 0)
-                and (import_volume is None or import_volume >= 0)
+                0 <= export_value < inf
+                and 0 <= import_value < inf
+                and (export_volume is None or 0 <= export_volume < inf)
+                and (import_volume is None or 0 <= import_volume < inf)
             )
         except ValueError:
             ok = False
@@ -207,11 +212,31 @@ def _validated_rows(source: IO[bytes] | IO[str] | Iterable[str]) -> Iterator[_Ro
         )
 
 
+def _undecodable_row(binary: IO[bytes]) -> int:
+    """Row number of the first record of `binary` holding bytes that are not UTF-8.
+
+    For the error path only: the decoder reads ahead of the csv reader, so
+    the stream is parsed again from its start, each bad byte kept as a lone
+    surrogate, which valid UTF-8 never decodes to.
+    """
+    binary.seek(0)
+    text = io.TextIOWrapper(binary, encoding="utf-8", errors="surrogateescape", newline="")
+    row_number = 0
+    for row_number, row in enumerate(csv.reader(text), start=1):
+        if _SURROGATE.search("".join(row)):
+            break
+    return row_number
+
+
 def _merge(rows: Iterable[_Row]) -> CleanResult:
     """Merge rows sharing a key by summation and drop zero-trade industries.
 
     Keys keep their first-seen order and each sum runs in row order, so the
-    result depends only on the sequence of rows.
+    result depends only on the sequence of rows. A side's volume is the sum
+    of its quantities only when every row of the key reports one; otherwise
+    it is None, since summing values over all rows but quantities over some
+    would bias the unit value. Raises OverflowError on a key whose trade or
+    volume total leaves the float range.
     """
     # key -> [X, M, x, m, unit]
     acc: dict[tuple[str, str, str, str], list] = {}
@@ -229,10 +254,14 @@ def _merge(rows: Iterable[_Row]) -> CleanResult:
             raise UnitConflictError(FlowKey(*key), (slot[4], unit))
         if slot[4] is None:
             slot[4] = unit
-        if xq is not None:
-            slot[2] = xq if slot[2] is None else slot[2] + xq
-        if mq is not None:
-            slot[3] = mq if slot[3] is None else slot[3] + mq
+        if xq is None or slot[2] is None:
+            slot[2] = None
+        else:
+            slot[2] += xq
+        if mq is None or slot[3] is None:
+            slot[3] = None
+        else:
+            slot[3] += mq
 
     flows: list[IndustryFlow] = []
     dropped = 0
@@ -240,6 +269,9 @@ def _merge(rows: Iterable[_Row]) -> CleanResult:
         if xv == 0 and mv == 0:
             dropped += 1
             continue
+        # Every row is finite and nonnegative, so a sum that overflowed is inf.
+        if xv + mv == math.inf or xq == math.inf or mq == math.inf:
+            raise OverflowError(f"trade or volume total of key {key} exceeds the float range")
         flows.append(IndustryFlow(FlowKey(*key), xv, mv, xq, mq, unit))
     return CleanResult(tuple(flows), dropped, rows_read)
 
@@ -249,10 +281,17 @@ def read_flows(source: IO[bytes] | IO[str] | Iterable[str]) -> CleanResult:
 
     This is the one ingestion entry point. `source` is a binary or text
     stream (binary is decoded as UTF-8). Records sharing a key are merged by
-    summation: values always sum; volumes sum only while every contributing
-    record agrees on the unit. Raises FlowParseError on a malformed row and
-    UnitConflictError on a key whose records disagree on the volume unit.
+    summation: values always sum; a side's volume sums only when every record
+    of the key reports it. Raises FlowParseError on a malformed row
+    (including, for a seekable binary stream, bytes that are not UTF-8),
+    UnitConflictError on a key whose records disagree on the volume unit and
+    OverflowError on a key whose totals exceed the float range.
     """
+    if hasattr(source, "read") and isinstance(source.read(0), bytes):
+        try:
+            return _merge(_validated_rows(io.TextIOWrapper(source, encoding="utf-8", newline="")))
+        except UnicodeDecodeError:
+            raise FlowParseError(_undecodable_row(source), "not valid UTF-8") from None
     return _merge(_validated_rows(source))
 
 

@@ -1,7 +1,16 @@
+import csv
+import dataclasses
+import hashlib
+import io
 import json
+import math
+import os
+import stat
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
+import iitkit.cli as cli
 from iitkit.cli import main
 from iitkit.datasets import example_flows_path, example_panel_path
 
@@ -107,6 +116,69 @@ class TestCompute:
             f"error: cannot write {out}: No such file or directory\n"
         )
         assert not out.parent.exists()
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_overflowing_merged_sum_exits_2(self, tmp_path, capsys, fmt):
+        path = tmp_path / "big.csv"
+        path.write_text(f"{HEADER}\n2020,FRA,DEU,1,1e308,5,1,1,kg\n2020,FRA,DEU,1,1e308,5,1,1,kg\n")
+        assert run("compute", "--input", path, "--format", fmt) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (
+            f"error: {path}: trade or volume total of key ('2020', 'FRA', 'DEU', '1') "
+            "exceeds the float range\n"
+        )
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_non_finite_ratio_exits_2(self, tmp_path, capsys, fmt):
+        path = tmp_path / "nan.csv"
+        path.write_text(f"{HEADER}\n2020,FRA,DEU,1,1e300,1e300,1e-10,1e-10,kg\n")
+        assert run("compute", "--input", path, "--format", fmt) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (
+            "error: unit-value ratio of key ('2020', 'FRA', 'DEU', '1') is nan: "
+            "a unit value over- or underflows the float range\n"
+        )
+
+    def test_overflowing_group_total_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "big.csv"
+        path.write_text(f"{HEADER}\n2020,FRA,DEU,1,1e308,0,,,\n2020,FRA,DEU,2,1e308,0,,,\n")
+        gmap = tmp_path / "map.csv"
+        gmap.write_text("industry_code,group_id\n1,G\n2,G\n")
+        assert run("compute", "--input", path, "--group-map", gmap) == 2
+        assert "total trade of group 'G'" in capsys.readouterr().err
+
+    def test_non_finite_value_exits_2_naming_row_and_column(self, tmp_path, capsys):
+        path = tmp_path / "inf.csv"
+        path.write_text(f"{HEADER}\n2020,FRA,DEU,1,1e999,100,,,\n")
+        assert run("compute", "--input", path) == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}: row 2: export_value is not finite (1e999)\n"
+        )
+
+    def test_invalid_utf8_exits_2_with_row_number(self, tmp_path, capsys):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(f"{HEADER}\n".encode() + b"2020,FRA,DEU,00000\xff,100,100,,,\n")
+        assert run("compute", "--input", path) == 2
+        assert capsys.readouterr().err == f"error: {path}: row 2: not valid UTF-8\n"
+
+    def test_partial_coverage_is_missing_volume(self, tmp_path, capsys):
+        path = tmp_path / "partial.csv"
+        path.write_text(
+            f"{HEADER}\n2020,FRA,DEU,1,100,100,100,100,kg\n2020,FRA,DEU,1,100,0,,,\n"
+        )
+        assert run("compute", "--input", path) == 0
+        (report,) = json.loads(capsys.readouterr().out)["reports"]
+        overlap = 2 * 100 / 300  # GHM counts 2*min(X, M) of total trade X+M = 300
+        assert {k: report[k] for k in ("total_trade", "iit", "hiit", "viit", "unclassified_share")} == {
+            "total_trade": 300.0, "iit": overlap, "hiit": 0.0, "viit": 0.0,
+            "unclassified_share": overlap,
+        }
+        (industry,) = report["industries"]
+        assert (industry["ratio"], industry["label"], industry["unclassifiable"]) == (
+            None, None, "missing-volume",
+        )
 
     def test_deterministic_output(self, flows_csv, tmp_path):
         out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
@@ -290,3 +362,182 @@ class TestWireSchema:
             "reporter", "partner", "group_id", "family", "alpha", "skipped", "transitions",
         ]
         assert list(panel["transitions"][0]) == self.TRANSITION
+
+
+class TestReportFile:
+    """A file named by --output is replaced whole, with the permission bits
+    open(path, "w") gives; a device or pipe is written in place."""
+
+    def test_failed_write_leaves_old_report_and_no_temp_file(
+        self, flows_csv, tmp_path, monkeypatch, capsys
+    ):
+        # A NaN share makes the JSON encoder fail after the config is written.
+        real = cli.decompose_shares
+        monkeypatch.setattr(
+            cli, "decompose_shares", lambda *a: dataclasses.replace(real(*a), hiit=math.nan)
+        )
+        out = tmp_path / "report.json"
+        out.write_text("old report\n")
+        assert run("compute", "--input", flows_csv, "--output", out) == 2
+        assert capsys.readouterr().err.startswith("error: report holds a number JSON cannot encode")
+        assert out.read_text() == "old report\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["flows.csv", "report.json"]
+
+    def test_new_report_mode_follows_umask(self, flows_csv, tmp_path):
+        out = tmp_path / "report.json"
+        assert run("compute", "--input", flows_csv, "--output", out) == 0
+        umask = os.umask(0)
+        os.umask(umask)
+        assert stat.S_IMODE(out.stat().st_mode) == 0o666 & ~umask
+
+    def test_replaced_report_keeps_its_mode(self, flows_csv, tmp_path):
+        out = tmp_path / "report.csv"
+        out.write_text("old report\n")
+        out.chmod(0o640)
+        assert run("compute", "--input", flows_csv, "--format", "csv", "--output", out) == 0
+        assert stat.S_IMODE(out.stat().st_mode) == 0o640
+        assert out.read_text().startswith("period,reporter,partner")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["flows.csv", "report.csv"]
+
+    def test_symlink_target_is_replaced(self, flows_csv, tmp_path):
+        target = tmp_path / "real.csv"
+        target.write_text("old report\n")
+        link = tmp_path / "link.csv"
+        link.symlink_to(target)
+        assert run("compute", "--input", flows_csv, "--format", "csv", "--output", link) == 0
+        assert link.is_symlink()
+        assert target.read_text().startswith("period,reporter,partner")
+
+    def test_fifo_is_written_in_place(self, flows_csv, tmp_path):
+        fifo = tmp_path / "report.fifo"
+        os.mkfifo(fifo)
+        reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+        try:
+            assert run("compute", "--input", flows_csv, "--format", "csv", "--output", fifo) == 0
+            assert os.read(reader, 1 << 16).startswith(b"period,reporter,partner")
+        finally:
+            os.close(reader)
+        assert stat.S_ISFIFO(fifo.stat().st_mode)
+
+
+# sha256 of stdout and the exit code of each command, recorded before the report
+# writer was unified; the writer must keep every byte.
+GOLDEN = {
+    ("example_flows.csv", "compute", "json", "ghm", "aer"): (0, "7c8face804f69d39bbd01096025e4459cbc359d91a435c8685c646ac3a0e82d7"),
+    ("example_flows.csv", "compute", "csv", "ghm", "aer"): (0, "a71ef351d6146b48c9a131641a9904cbc07d4293a4de738b72f1181d41732e58"),
+    ("example_flows.csv", "compute", "json", "ff", "vona"): (0, "85166b7bcc111795746cf3cdcaba17d2e8db8ab87adcd1feeb273fc1d8b8f695"),
+    ("example_flows.csv", "compute", "csv", "ff", "vona"): (0, "b38cb609a4859703c98077a6254f52a30dc21ff1a44bf5b4bbeb51a5af2663db"),
+    ("example_flows.csv", "sweep", "json", "ghm", "aer"): (0, "b6467677e8cfd6119069d8688bb56e7c9cd29a36226c9cff7f535d52627fdf56"),
+    ("example_flows.csv", "sweep", "csv", "ghm", "aer"): (0, "4029feabbe81aacd23503174a5034507ca0d21d56cadd35f7488f3c3e8d91643"),
+    # One period: transitions is a configuration error and writes nothing.
+    ("example_flows.csv", "transitions", "json", "ghm", "aer"): (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("example_flows.csv", "transitions", "csv", "ghm", "aer"): (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("example_panel.csv", "compute", "json", "ghm", "aer"): (0, "882b67c6d9e485babd125d847fbdfba94133f86f719701ded8a053511301194d"),
+    ("example_panel.csv", "compute", "csv", "ghm", "aer"): (0, "785cb699c2502986f764e366d2d5938307c7727341225f852a79748d026428f6"),
+    ("example_panel.csv", "compute", "json", "ff", "vona"): (0, "2909446970dac19b8528be6baebfa4d0df1e2d02fdae911f909cf93bee429591"),
+    ("example_panel.csv", "compute", "csv", "ff", "vona"): (0, "df7c6189c3400514a8a1571f1ab7797c11c662d16b097d05480f9018fdafb984"),
+    ("example_panel.csv", "sweep", "json", "ghm", "aer"): (0, "d50f72c038a8fd5bc88d0ec62807a7a851be52e729cc349f0df1e46cd34d6678"),
+    ("example_panel.csv", "sweep", "csv", "ghm", "aer"): (0, "4df7525f03b5be2e60a925911d58e734a0853978b17e202a922d0201c1ee9f5e"),
+    ("example_panel.csv", "transitions", "json", "ghm", "aer"): (0, "de1c318d262613eb0cb7b70facf341522935acea992b83116be359d44788196c"),
+    ("example_panel.csv", "transitions", "csv", "ghm", "aer"): (0, "6c4b232bd12a78056f2c156f8bbfc6aeab2f60306908f249f425f9f315c9f494"),
+    ("example_panel.csv", "transitions", "json", "ff", "vona"): (0, "6018d77e1102c3eb6d4d596ce2dc099e40e1a0547934ff7f59ab0d3c68a05318"),
+}
+GOLDEN_VALIDATE = {
+    "example_flows.csv": "766dc3ca1a9ebe7ce8cd3aae3710ba993ae2b9b76f0f1657b0773e5c8c0c586d",
+    "example_panel.csv": "7eb2bd5686c2082f9037f4b2a4a5f591f2d2fb4231c22841d7158ebcb4d0a83e",
+}
+
+
+class TestGoldenOutput:
+    """Byte-identical stdout on the bundled datasets.
+
+    Runs from the data directory with a relative --input, so the input path
+    the JSON config echoes is the same on every machine.
+    """
+
+    @pytest.fixture(autouse=True)
+    def in_data_dir(self, monkeypatch):
+        monkeypatch.chdir(example_flows_path().parent)
+
+    @staticmethod
+    def digest(capsys) -> str:
+        return hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+
+    @pytest.mark.parametrize("case", sorted(GOLDEN), ids="-".join)
+    def test_report(self, case, capsys):
+        dataset, command, fmt, family, type_method = case
+        code = main([
+            command, "--input", dataset, "--format", fmt,
+            "--family", family, "--type-method", type_method,
+        ])
+        assert (code, self.digest(capsys)) == GOLDEN[case]
+
+    @pytest.mark.parametrize("dataset", sorted(GOLDEN_VALIDATE))
+    def test_validate(self, dataset, capsys):
+        assert main(["validate", "--input", dataset]) == 0
+        assert self.digest(capsys) == GOLDEN_VALIDATE[dataset]
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} in a JSON report")
+
+
+_NUMBER = st.one_of(
+    st.sampled_from([
+        "", "0", "1", "5", "100", "1e-10", "1e-300", "1e300", "1e308", "1.7e308",
+        "1e999", "inf", "-inf", "nan", "-1", "x",
+    ]),
+    st.floats(min_value=0, max_value=1.7e308).map(repr),
+)
+_ROW = st.tuples(
+    st.sampled_from(["2020", "2021", "2020M9", ""]),
+    st.just("FRA"),
+    st.sampled_from(["DEU", "USA"]),
+    st.sampled_from(["1", "2", "3"]),
+    _NUMBER, _NUMBER, _NUMBER, _NUMBER,
+    st.sampled_from(["", "kg", "unit"]),
+).map(lambda cells: ",".join(cells) + "\n")
+_BODY = st.one_of(
+    st.binary(max_size=80),
+    st.tuples(st.lists(_ROW, max_size=8), st.binary(max_size=4)).map(
+        lambda t: "".join(t[0]).encode() + t[1]
+    ),
+)
+_RUN = st.sampled_from([
+    ("compute", "json"), ("compute", "csv"), ("sweep", "json"), ("sweep", "csv"),
+    ("transitions", "json"), ("transitions", "csv"), ("validate", None),
+])
+
+
+class TestFuzz:
+    @settings(
+        max_examples=300, deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(body=_BODY, run_=_RUN, family=st.sampled_from(["ghm", "ff"]))
+    def test_exit_code_and_finite_report(self, tmp_path, capsys, body, run_, family):
+        """Any table after the header: exit 0, 1 or 2, no exception, and no
+        non-finite number in a report."""
+        command, fmt = run_
+        table, out = tmp_path / "fuzz.csv", tmp_path / "out"
+        table.write_bytes(f"{HEADER}\n".encode() + body)
+        out.unlink(missing_ok=True)
+        argv = [command, "--input", str(table)]
+        if fmt is not None:
+            argv += ["--format", fmt, "--family", family, "--output", str(out)]
+        code = main(argv)
+        capsys.readouterr()
+        assert code in (0, 1, 2)
+        if code != 0 or fmt is None:
+            return
+        text = out.read_text(encoding="utf-8")
+        if fmt == "json":
+            json.loads(text, parse_constant=_reject_constant)
+        else:
+            for row in csv.reader(io.StringIO(text)):
+                for cell in row:
+                    try:
+                        value = float(cell)
+                    except ValueError:
+                        continue
+                    assert math.isfinite(value), row

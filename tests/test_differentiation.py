@@ -47,6 +47,24 @@ class TestUnitValueRatio:
     def test_zero_value_side(self):
         assert unit_value_ratio(make_flow(0, 100, 10, 10)) is UnclassifiableReason.ZERO_VALUE
 
+    @pytest.mark.parametrize(
+        "flow",
+        [
+            make_flow(1e300, 1e300, 1e-10, 1e-10),  # both unit values inf: ratio NaN
+            make_flow(1e300, 1e-10, 1e-10, 1e290),  # ratio overflows
+            make_flow(1e-300, 1e300, 1e300, 1e-300),  # ratio underflows to 0
+            make_flow(1, 2.225073858507203e-309, 1, 900719925474100.0),  # M/m underflows to 0
+        ],
+    )
+    def test_ratio_outside_float_range_raises(self, flow):
+        with pytest.raises(OverflowError, match=r"key \('2020', 'FRA', 'DEU', '000001'\)"):
+            unit_value_ratio(flow)
+
+    def test_group_total_beyond_float_range_raises(self):
+        group = make_group([make_flow(1e308, 0, code="000001"), make_flow(1e308, 0, code="000002")])
+        with pytest.raises(OverflowError, match="total trade of group 'G'"):
+            decompose_shares(group, GHM, AER)
+
 
 class TestClassifyGhm:
     def test_worked_example(self):

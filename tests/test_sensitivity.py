@@ -61,6 +61,11 @@ class TestAlphaSweep:
             for flip in result.flip_points:
                 assert flip.label_after is H  # labels only move toward Horizontal
 
+    def test_result_carries_its_group(self):
+        group = make_group([ratio_flow(1.16)], group_id="G7")
+        result = alpha_sweep(group, [0.15, 0.25], "ghm", AER)
+        assert (result.group_id, result.snapshot) == ("G7", ("2020", "FRA", "DEU"))
+
     def test_alpha_validation(self):
         group = make_group([ratio_flow(1.0)])
         with pytest.raises(ValueError):
@@ -73,7 +78,7 @@ class TestAlphaSweep:
     def test_flip_csv_one_row_per_boundary(self):
         group = make_group([ratio_flow(1.16)])
         result = alpha_sweep(group, [0.05, 0.15, 0.25], "ghm", AER)
-        text = sweep_flips_to_csv([("G", result)])
+        text = sweep_flips_to_csv([result])
         lines = text.strip().splitlines()
         assert len(lines) == 1 + len(result.flip_points)
 
@@ -101,6 +106,23 @@ class TestNatureTransitions:
         (t,) = report.transitions
         assert not t.flipped
         assert (t.label_from, t.label_to) == (H, H)
+
+    def test_report_carries_its_panel(self):
+        report = nature_transitions(self.panel(1.0, 1.0), 0.15, "ghm", AER)
+        assert (report.reporter, report.partner, report.group_id) == ("FRA", "DEU", "G")
+
+    @pytest.mark.parametrize(
+        "other",
+        [
+            make_group([ratio_flow(1.0, period="2021")], group_id="H"),
+            make_group([make_flow(100, 100, 100, 100, period="2021", partner="USA")]),
+            make_group([make_flow(100, 100, 100, 100, period="2021", reporter="ITA")]),
+        ],
+    )
+    def test_rejects_mixed_panel(self, other):
+        panel = [make_group([ratio_flow(1.0, period="2020")]), other]
+        with pytest.raises(ValueError, match="mixes"):
+            nature_transitions(panel, 0.15, "ghm", AER)
 
     def test_requires_two_periods(self):
         with pytest.raises(ValueError, match="2 periods"):
@@ -146,7 +168,7 @@ class TestNatureTransitions:
 
     def test_csv_shape(self):
         report = nature_transitions(self.panel(1.151, 1.149), 0.15, "ghm", AER)
-        text = transitions_to_csv([("G", report)])
+        text = transitions_to_csv([report])
         lines = text.strip().splitlines()
         assert lines[0].startswith("group_id,reporter,partner")
         assert len(lines) == 2

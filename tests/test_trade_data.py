@@ -69,6 +69,34 @@ class TestParseFlowRecords:
             parse(text)
         assert exc.value.row_number == 3
 
+    @pytest.mark.parametrize(
+        "row, column",
+        [
+            ("1e999,80,,,", "export_value"),
+            ("5,inf,,,", "import_value"),
+            ("5,8,Infinity,1,kg", "export_qty"),
+            ("5,8,1,1E400,kg", "import_qty"),
+        ],
+    )
+    def test_non_finite_rejected_with_row_and_column(self, row, column):
+        with pytest.raises(FlowParseError) as exc:
+            parse(f"{HEADER}\n2020,FRA,DEU,1,1,1,,,\n2020,FRA,DEU,2,{row}\n")
+        assert exc.value.row_number == 3
+        assert exc.value.reason.startswith(f"{column} is not finite")
+
+    @pytest.mark.parametrize("good_rows", [0, 1, 3000])
+    def test_invalid_utf8_rejected_with_row_number(self, good_rows):
+        # 3000 rows put the bad byte well past the decoder's first read-ahead chunk.
+        raw = (
+            f"{HEADER}\n".encode()
+            + b"2020,FRA,DEU,1,1,1,,,\n" * good_rows
+            + b"2020,FRA,DEU,\xff,1,1,,,\n2020,FRA,DEU,2,1,1,,,\n"
+        )
+        with pytest.raises(FlowParseError) as exc:
+            read_flows(io.BytesIO(raw))
+        assert exc.value.row_number == 2 + good_rows
+        assert exc.value.reason == "not valid UTF-8"
+
 
 class TestPairAndClean:
     """Key-level merging, through read_flows."""
@@ -91,11 +119,32 @@ class TestPairAndClean:
             parse(f"{HEADER}\n2020,FRA,DEU,1,5,0,10,,kg\n2020,FRA,DEU,1,0,5,,10,unit\n")
         assert exc.value.key == FlowKey("2020", "FRA", "DEU", "1")
 
+    def test_partial_quantity_coverage_gives_no_volume(self):
+        # Values sum over both rows; a volume summed over the first alone would
+        # give a unit-value ratio of 2.0 where the reporting row has 1.0.
+        (flow,) = parse(
+            f"{HEADER}\n2020,FRA,DEU,1,100,100,100,100,kg\n2020,FRA,DEU,1,100,0,,,\n"
+        ).flows
+        assert flow == IndustryFlow(FlowKey("2020", "FRA", "DEU", "1"), 200.0, 100.0, None, None, "kg")
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            "2020,FRA,DEU,1,1e308,5,1,1,kg\n2020,FRA,DEU,1,1e308,5,1,1,kg\n",
+            "2020,FRA,DEU,1,1e308,1e308,1,1,kg\n",
+            "2020,FRA,DEU,1,5,5,1e308,1,kg\n2020,FRA,DEU,1,5,5,1e308,1,kg\n",
+        ],
+    )
+    def test_total_beyond_float_range_rejected(self, rows):
+        with pytest.raises(OverflowError, match=r"key \('2020', 'FRA', 'DEU', '1'\)"):
+            parse(f"{HEADER}\n{rows}")
+
     def test_volumes_merge_when_units_agree(self):
         (flow,) = parse(
             f"{HEADER}\n2020,FRA,DEU,1,5,0,10,,kg\n2020,FRA,DEU,1,0,5,2,3,kg\n"
         ).flows
-        assert (flow.export_volume, flow.import_volume) == (12.0, 3.0)
+        # Both rows report an export quantity, only the second an import one.
+        assert (flow.export_volume, flow.import_volume) == (12.0, None)
 
     @given(
         st.lists(
@@ -134,7 +183,8 @@ class TestReadFlows:
         assert [f.key.industry_code for f in result.flows] == ["1", "3"]
         one = result.flows[0]
         assert (one.export_value, one.import_value) == (5 + 2 + 0.1, 1 + 3 + 0.2)
-        assert (one.export_volume, one.import_volume, one.volume_unit) == (11.0, 2.0, "kg")
+        # The second row of key 1 reports no quantities, so neither side's covers every row.
+        assert (one.export_volume, one.import_volume, one.volume_unit) == (None, None, "kg")
         assert result.dropped_zero_trade == 1
         assert result.rows_read == 5
 
