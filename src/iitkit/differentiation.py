@@ -124,27 +124,13 @@ def unit_value_ratio(flow: IndustryFlow) -> UnitValueRatio | UnclassifiableReaso
 
 @dataclass(frozen=True)
 class IndustryDetail:
-    """Per-industry line of a SharesReport."""
+    """Per-industry line of a SharesReport: the facts that do not depend on alpha."""
 
     key: FlowKey
     trade_type: TradeType
     ratio: float | None
-    label: Differentiation | None
     unclassifiable: UnclassifiableReason | None
     contribution: float  # this industry's IIT amount as a share of group trade
-
-    def to_dict(self) -> dict:
-        return {
-            "period": self.key.period,
-            "reporter": self.key.reporter,
-            "partner": self.key.partner,
-            "industry_code": self.key.industry_code,
-            "trade_type": self.trade_type.value,
-            "ratio": self.ratio,
-            "label": self.label.value if self.label else None,
-            "unclassifiable": self.unclassifiable.value if self.unclassifiable else None,
-            "contribution": self.contribution,
-        }
 
 
 @dataclass(frozen=True)
@@ -168,6 +154,7 @@ class SharesReport:
     lqviit: float
     unclassified_share: float
     details: tuple[IndustryDetail, ...]
+    labels: tuple[Differentiation | None, ...]  # aligned with details; None if not labelled
 
     # Names of values(), in order: the JSON keys before "industries" and the CSV header.
     FIELDS = (
@@ -207,7 +194,17 @@ class SharesReport:
 
     def to_dict(self) -> dict:
         out = dict(zip(self.FIELDS, self.values()))
-        out["industries"] = [d.to_dict() for d in self.details]
+        out["industries"] = [
+            {
+                **d.key._asdict(),  # period, reporter, partner, industry_code
+                "trade_type": d.trade_type.value,
+                "ratio": d.ratio,
+                "label": label.value if label else None,
+                "unclassifiable": d.unclassifiable.value if d.unclassifiable else None,
+                "contribution": d.contribution,
+            }
+            for d, label in zip(self.details, self.labels)
+        ]
         return out
 
 
@@ -239,15 +236,32 @@ def decompose_shares(
     cannot be formed move their IIT amount into unclassified_share. Raises
     OverflowError when the group's total trade exceeds the float range.
     """
+    (report,) = _decompose(group, [diff_method], type_method)
+    return report
+
+
+def _decompose(
+    group: IndustryGroup,
+    methods: Sequence[DifferentiationMethod],
+    type_method: TradeTypeMethod,
+) -> list[SharesReport]:
+    """`decompose_shares` under each of `methods`, all of one family, in one member pass.
+
+    Only the band test and the sums repeat per method. Each sum runs in
+    member order, as in a decomposition of its own, and all the reports
+    share one details tuple.
+    """
     total = group.total_trade
     if total == math.inf:
         raise OverflowError(
             f"total trade of group {group.group_id!r} in {group.snapshot} exceeds the float range"
         )
-    ghm = diff_method.family == "ghm"
+    ghm = methods[0].family == "ghm"
 
-    iit = hiit = hq = lq = unclassified = 0.0
+    iit = unclassified = 0.0
     details: list[IndustryDetail] = []
+    # Per member, the (IIT amount, ratio) the band test attributes, or None.
+    classified: list[tuple[float, float] | None] = []
     for flow in group.members:
         trade_type = classify_trade_type(flow, type_method)
         if ghm:
@@ -258,36 +272,33 @@ def decompose_shares(
 
         uvr = unit_value_ratio(flow)
         ratio = uvr.ratio if isinstance(uvr, UnitValueRatio) else None
-        label = None
-        reason = None
+        item = reason = None
         if amount > 0:
             if ratio is not None:
-                label = diff_method.classify(ratio)
-                if label is Differentiation.HORIZONTAL:
-                    hiit += amount
-                elif label is Differentiation.VERTICAL_HIGH:
-                    hq += amount
-                else:
-                    lq += amount
+                item = (amount, ratio)
             else:
                 reason = uvr
                 unclassified += amount
-        details.append(
-            IndustryDetail(flow.key, trade_type, ratio, label, reason, amount / total)
-        )
+        classified.append(item)
+        details.append(IndustryDetail(flow.key, trade_type, ratio, reason, amount / total))
+    shared = tuple(details)
 
-    return SharesReport(
-        group_id=group.group_id,
-        snapshot=group.snapshot,
-        family=diff_method.family,
-        alpha=diff_method.alpha,
-        type_method=type_method,
-        total_trade=total,
-        iit=iit / total,
-        hiit=hiit / total,
-        viit=(hq + lq) / total,
-        hqviit=hq / total,
-        lqviit=lq / total,
-        unclassified_share=unclassified / total,
-        details=tuple(details),
-    )
+    reports = []
+    for method in methods:
+        hiit = hq = lq = 0.0
+        labels: list[Differentiation | None] = []
+        for item in classified:
+            label = None if item is None else method.classify(item[1])
+            if label is Differentiation.HORIZONTAL:
+                hiit += item[0]
+            elif label is Differentiation.VERTICAL_HIGH:
+                hq += item[0]
+            elif label is Differentiation.VERTICAL_LOW:
+                lq += item[0]
+            labels.append(label)
+        reports.append(SharesReport(
+            group.group_id, group.snapshot, method.family, method.alpha, type_method, total,
+            iit / total, hiit / total, (hq + lq) / total, hq / total, lq / total,
+            unclassified / total, shared, tuple(labels),
+        ))
+    return reports

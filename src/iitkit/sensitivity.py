@@ -2,11 +2,12 @@
 
 The horizontal band is arbitrary: widening alpha can silently re-label an
 industry, and a tiny period-over-period movement of the unit-value ratio
-across the band edge flips its assigned nature. `alpha_sweep` recomputes the
-share table over a grid of alphas and records every label flip between
-adjacent grid points; `nature_transitions` does the same across consecutive
-periods of a panel at a fixed alpha. Flips are detected on labels, not on
-ratio movements, so hairline crossings are reported rather than smoothed.
+across the band edge flips its assigned nature. `alpha_sweep` decomposes a
+group once and re-runs only the band test at each alpha of a grid, recording
+every label flip between adjacent grid points; `nature_transitions` records
+them across consecutive periods of a panel at a fixed alpha. Flips are
+detected on labels, not on ratio movements, so hairline crossings are
+reported rather than smoothed.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from iitkit.differentiation import (
     DifferentiationMethod,
     SharesReport,
     _csv_text,
+    _decompose,
     decompose_shares,
 )
 from iitkit.indices import TradeTypeMethod, check_fraction
@@ -139,34 +141,27 @@ def _validate_alphas(alphas: Sequence[float]) -> tuple[float, ...]:
     return tuple(alphas)
 
 
-def _labels_of(report: SharesReport) -> dict[FlowKey, Differentiation]:
-    return {d.key: d.label for d in report.details if d.label is not None}
-
-
 def alpha_sweep(
     group: IndustryGroup,
     alphas: Sequence[float],
     family: str,
     type_method: TradeTypeMethod,
 ) -> SweepResult:
-    """Recompute the share table at each alpha and collect label flips.
+    """The share table at each alpha, and the label flips between adjacent alphas.
 
     Along increasing alpha the horizontal band only widens, so every flip
     moves toward Horizontal; a reverse move would indicate a bug upstream.
     """
     alphas = _validate_alphas(alphas)
-    reports = tuple(
-        decompose_shares(group, DifferentiationMethod(family, a), type_method)
-        for a in alphas
-    )
-    labels = [_labels_of(r) for r in reports]
+    methods = [DifferentiationMethod(family, a) for a in alphas]
+    reports = tuple(_decompose(group, methods, type_method))
 
     flips: list[FlipPoint] = []
-    for a_hi, lo_labels, hi_labels in zip(alphas[1:], labels, labels[1:]):
-        for key, before in lo_labels.items():
-            after = hi_labels.get(key)
-            if after is not None and after is not before:
-                flips.append(FlipPoint(key, a_hi, before, after))
+    for a_hi, lo, hi in zip(alphas[1:], reports, reports[1:]):
+        # Whether an industry is labelled does not depend on alpha.
+        for detail, before, after in zip(lo.details, lo.labels, hi.labels):
+            if after is not before:
+                flips.append(FlipPoint(detail.key, a_hi, before, after))
     return SweepResult(group.group_id, group.snapshot, alphas, reports, tuple(flips))
 
 
@@ -212,26 +207,20 @@ def nature_transitions(
     method = DifferentiationMethod(family, alpha)
     reports = [decompose_shares(by_period[p], method, type_method) for p in periods]
     # Match on (reporter, partner, industry_code); period differs by design.
-    details = [{d.key[1:]: d for d in r.details} for r in reports]
+    lines = [{d.key[1:]: (d, label) for d, label in zip(r.details, r.labels)} for r in reports]
 
     transitions: list[Transition] = []
     skipped = 0
-    for from_map, to_map in zip(details, details[1:]):
+    for from_map, to_map in zip(lines, lines[1:]):
         for ident in sorted(from_map.keys() | to_map.keys()):
-            d_from = from_map.get(ident)
-            d_to = to_map.get(ident)
-            if (
-                d_from is None
-                or d_to is None
-                or d_from.label is None
-                or d_to.label is None
-            ):
+            d_from, label_from = from_map.get(ident, (None, None))
+            d_to, label_to = to_map.get(ident, (None, None))
+            if label_from is None or label_to is None:
                 skipped += 1
                 continue
             transitions.append(
                 Transition(
-                    d_from.key, d_to.key, d_from.ratio, d_to.ratio,
-                    d_from.label, d_to.label,
+                    d_from.key, d_to.key, d_from.ratio, d_to.ratio, label_from, label_to
                 )
             )
     (reporter, partner, group_id), = panels

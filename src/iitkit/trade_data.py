@@ -162,54 +162,60 @@ def _validated_rows(source: IO[str] | Iterable[str]) -> Iterator[_Row]:
         header = next(reader)
     except StopIteration:
         raise FlowParseError(1, "empty input, header row missing") from None
+    except csv.Error as exc:  # e.g. a field past the csv module's size limit
+        raise FlowParseError(1, str(exc)) from None
     if tuple(h.strip() for h in header) != EXPECTED_HEADER:
         raise FlowParseError(
             1, f"bad header {header!r}, expected {','.join(EXPECTED_HEADER)}"
         )
 
     inf = math.inf
-    for row_number, row in enumerate(reader, start=2):
-        if not row:
-            continue  # tolerate a trailing blank line
-        if len(row) != 9:
-            raise FlowParseError(row_number, f"expected 9 fields, got {len(row)}")
-        period, reporter, partner, code, xv, mv, xq, mq, unit = row
-        try:
-            # Fast path: `not 0 <= v < inf` catches negatives, NaN and
-            # infinities. The slow path re-parses field by field so the error
-            # names the offending column.
-            export_value = float(xv)
-            import_value = float(mv)
-            export_volume = float(xq) if xq else None
-            import_volume = float(mq) if mq else None
-            ok = (
-                0 <= export_value < inf
-                and 0 <= import_value < inf
-                and (export_volume is None or 0 <= export_volume < inf)
-                and (import_volume is None or 0 <= import_volume < inf)
+    row_number = 1
+    try:
+        for row_number, row in enumerate(reader, start=2):
+            if not row:
+                continue  # tolerate a trailing blank line
+            if len(row) != 9:
+                raise FlowParseError(row_number, f"expected 9 fields, got {len(row)}")
+            period, reporter, partner, code, xv, mv, xq, mq, unit = row
+            try:
+                # Fast path: `not 0 <= v < inf` catches negatives, NaN and
+                # infinities. The slow path re-parses field by field so the error
+                # names the offending column.
+                export_value = float(xv)
+                import_value = float(mv)
+                export_volume = float(xq) if xq else None
+                import_volume = float(mq) if mq else None
+                ok = (
+                    0 <= export_value < inf
+                    and 0 <= import_value < inf
+                    and (export_volume is None or 0 <= export_volume < inf)
+                    and (import_volume is None or 0 <= import_volume < inf)
+                )
+            except ValueError:
+                ok = False
+            if not ok:
+                _parse_value(xv, "export_value", row_number)
+                _parse_value(mv, "import_value", row_number)
+                _parse_optional_value(xq, "export_qty", row_number)
+                _parse_optional_value(mq, "import_qty", row_number)
+                raise FlowParseError(row_number, f"unparseable row {row!r}")
+            if not (period and reporter and partner and code):
+                raise FlowParseError(row_number, "empty key field")
+            if not unit:
+                if export_volume is not None or import_volume is not None:
+                    raise FlowParseError(row_number, "quantity present without qty_unit")
+                unit = None
+            yield (
+                (period, reporter, partner, code),
+                export_value,
+                import_value,
+                export_volume,
+                import_volume,
+                unit,
             )
-        except ValueError:
-            ok = False
-        if not ok:
-            _parse_value(xv, "export_value", row_number)
-            _parse_value(mv, "import_value", row_number)
-            _parse_optional_value(xq, "export_qty", row_number)
-            _parse_optional_value(mq, "import_qty", row_number)
-            raise FlowParseError(row_number, f"unparseable row {row!r}")
-        if not (period and reporter and partner and code):
-            raise FlowParseError(row_number, "empty key field")
-        if not unit:
-            if export_volume is not None or import_volume is not None:
-                raise FlowParseError(row_number, "quantity present without qty_unit")
-            unit = None
-        yield (
-            (period, reporter, partner, code),
-            export_value,
-            import_value,
-            export_volume,
-            import_volume,
-            unit,
-        )
+    except csv.Error as exc:  # raised while reading the record after row_number
+        raise FlowParseError(row_number + 1, str(exc)) from None
 
 
 def _undecodable_row(binary: IO[bytes]) -> int:
@@ -222,9 +228,12 @@ def _undecodable_row(binary: IO[bytes]) -> int:
     binary.seek(0)
     text = io.TextIOWrapper(binary, encoding="utf-8", errors="surrogateescape", newline="")
     row_number = 0
-    for row_number, row in enumerate(csv.reader(text), start=1):
-        if _SURROGATE.search("".join(row)):
-            break
+    try:
+        for row_number, row in enumerate(csv.reader(text), start=1):
+            if _SURROGATE.search("".join(row)):
+                break
+    except csv.Error:  # a record too long to read; decoding stopped inside or just past it
+        row_number += 1
     return row_number
 
 
@@ -339,13 +348,19 @@ def read_grouping_map(source: IO[str] | Iterable[str]) -> dict[str, str]:
         header = next(reader)
     except StopIteration:
         raise FlowParseError(1, "empty grouping file") from None
+    except csv.Error as exc:
+        raise FlowParseError(1, str(exc)) from None
     if [h.strip() for h in header] != ["industry_code", "group_id"]:
         raise FlowParseError(1, f"bad grouping header {header!r}")
     mapping: dict[str, str] = {}
-    for row_number, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        if len(row) != 2 or not row[0] or not row[1]:
-            raise FlowParseError(row_number, f"bad grouping row {row!r}")
-        mapping[row[0]] = row[1]
+    row_number = 1
+    try:
+        for row_number, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != 2 or not row[0] or not row[1]:
+                raise FlowParseError(row_number, f"bad grouping row {row!r}")
+            mapping[row[0]] = row[1]
+    except csv.Error as exc:  # raised while reading the record after row_number
+        raise FlowParseError(row_number + 1, str(exc)) from None
     return mapping

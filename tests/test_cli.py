@@ -163,6 +163,21 @@ class TestCompute:
         assert run("compute", "--input", path) == 2
         assert capsys.readouterr().err == f"error: {path}: row 2: not valid UTF-8\n"
 
+    @pytest.mark.parametrize("command", ["validate", "compute"])
+    def test_oversized_field_exits_2_with_row_number(self, tmp_path, capsys, command):
+        path = tmp_path / "quote.csv"
+        path.write_text(f'{HEADER}\n2020,FRA,DEU,1,1,1,,,\n2020,FRA,DEU,"{"x" * 140_000}\n')
+        assert run(command, "--input", path) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: row 3: ") and "field limit" in err
+
+    def test_oversized_group_map_field_exits_2_with_row_number(self, flows_csv, tmp_path, capsys):
+        gmap = tmp_path / "map.csv"
+        gmap.write_text(f'industry_code,group_id\n000001,G\n"{"y" * 140_000}\n')
+        assert run("compute", "--input", flows_csv, "--group-map", gmap) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {gmap}: row 3: ") and "field limit" in err
+
     def test_partial_coverage_is_missing_volume(self, tmp_path, capsys):
         path = tmp_path / "partial.csv"
         path.write_text(
@@ -420,8 +435,9 @@ class TestReportFile:
         assert stat.S_ISFIFO(fifo.stat().st_mode)
 
 
-# sha256 of stdout and the exit code of each command, recorded before the report
-# writer was unified; the writer must keep every byte.
+# sha256 of stdout and the exit code of each command, each recorded at the commit
+# before the refactor it guards (the unified report writer; the one-pass sweep
+# added the ff/vona sweeps and transitions csv). Refactors must keep every byte.
 GOLDEN = {
     ("example_flows.csv", "compute", "json", "ghm", "aer"): (0, "7c8face804f69d39bbd01096025e4459cbc359d91a435c8685c646ac3a0e82d7"),
     ("example_flows.csv", "compute", "csv", "ghm", "aer"): (0, "a71ef351d6146b48c9a131641a9904cbc07d4293a4de738b72f1181d41732e58"),
@@ -429,6 +445,8 @@ GOLDEN = {
     ("example_flows.csv", "compute", "csv", "ff", "vona"): (0, "b38cb609a4859703c98077a6254f52a30dc21ff1a44bf5b4bbeb51a5af2663db"),
     ("example_flows.csv", "sweep", "json", "ghm", "aer"): (0, "b6467677e8cfd6119069d8688bb56e7c9cd29a36226c9cff7f535d52627fdf56"),
     ("example_flows.csv", "sweep", "csv", "ghm", "aer"): (0, "4029feabbe81aacd23503174a5034507ca0d21d56cadd35f7488f3c3e8d91643"),
+    ("example_flows.csv", "sweep", "json", "ff", "vona"): (0, "eaf9306326c562a5492e7ff015bbc930b2bfe310d70f750069b4cf68ccf51f61"),
+    ("example_flows.csv", "sweep", "csv", "ff", "vona"): (0, "539629ece154ca8b46ead990433cc4f42d905a4ce6433fc9e0e1cda636eb6825"),
     # One period: transitions is a configuration error and writes nothing.
     ("example_flows.csv", "transitions", "json", "ghm", "aer"): (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     ("example_flows.csv", "transitions", "csv", "ghm", "aer"): (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
@@ -438,9 +456,12 @@ GOLDEN = {
     ("example_panel.csv", "compute", "csv", "ff", "vona"): (0, "df7c6189c3400514a8a1571f1ab7797c11c662d16b097d05480f9018fdafb984"),
     ("example_panel.csv", "sweep", "json", "ghm", "aer"): (0, "d50f72c038a8fd5bc88d0ec62807a7a851be52e729cc349f0df1e46cd34d6678"),
     ("example_panel.csv", "sweep", "csv", "ghm", "aer"): (0, "4df7525f03b5be2e60a925911d58e734a0853978b17e202a922d0201c1ee9f5e"),
+    ("example_panel.csv", "sweep", "json", "ff", "vona"): (0, "4d1208111ca92747531d9eff72b3763b083c3ae1b656ef6713e950b5cf961549"),
+    ("example_panel.csv", "sweep", "csv", "ff", "vona"): (0, "4df7525f03b5be2e60a925911d58e734a0853978b17e202a922d0201c1ee9f5e"),
     ("example_panel.csv", "transitions", "json", "ghm", "aer"): (0, "de1c318d262613eb0cb7b70facf341522935acea992b83116be359d44788196c"),
     ("example_panel.csv", "transitions", "csv", "ghm", "aer"): (0, "6c4b232bd12a78056f2c156f8bbfc6aeab2f60306908f249f425f9f315c9f494"),
     ("example_panel.csv", "transitions", "json", "ff", "vona"): (0, "6018d77e1102c3eb6d4d596ce2dc099e40e1a0547934ff7f59ab0d3c68a05318"),
+    ("example_panel.csv", "transitions", "csv", "ff", "vona"): (0, "6c4b232bd12a78056f2c156f8bbfc6aeab2f60306908f249f425f9f315c9f494"),
 }
 GOLDEN_VALIDATE = {
     "example_flows.csv": "766dc3ca1a9ebe7ce8cd3aae3710ba993ae2b9b76f0f1657b0773e5c8c0c586d",
@@ -497,8 +518,17 @@ _ROW = st.tuples(
     _NUMBER, _NUMBER, _NUMBER, _NUMBER,
     st.sampled_from(["", "kg", "unit"]),
 ).map(lambda cells: ",".join(cells) + "\n")
+# A quoted field of up to 140,000 characters, closed or not: past 131,072
+# the csv module refuses it, and an unclosed one runs to the end of input.
+_QUOTED = st.tuples(
+    st.lists(_ROW, max_size=3),
+    st.sampled_from([0, 131_071, 131_072, 131_073, 140_000]),
+    st.sampled_from([b"", b'"', b'",1,1,,,\n']),
+    st.binary(max_size=4),
+).map(lambda t: "".join(t[0]).encode() + b'2020,FRA,DEU,"' + b"x" * t[1] + t[2] + t[3])
 _BODY = st.one_of(
     st.binary(max_size=80),
+    _QUOTED,
     st.tuples(st.lists(_ROW, max_size=8), st.binary(max_size=4)).map(
         lambda t: "".join(t[0]).encode() + t[1]
     ),

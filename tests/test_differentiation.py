@@ -185,7 +185,7 @@ class TestDecomposeShares:
         )
         (d1, d2) = report.details
         assert d1.unclassifiable is UnclassifiableReason.MISSING_VOLUME
-        assert d2.label is H
+        assert report.labels[1] is H
 
     def test_cross_module_agreement(self, worked_example_group):
         group = worked_example_group

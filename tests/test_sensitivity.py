@@ -1,7 +1,20 @@
-import pytest
+import math
 
-from iitkit.differentiation import Differentiation, DifferentiationMethod, decompose_shares
-from iitkit.indices import TradeTypeMethod
+import pytest
+from hypothesis import example, given, strategies as st
+
+from iitkit.differentiation import (
+    Differentiation,
+    DifferentiationMethod,
+    IndustryDetail,
+    SharesReport,
+    UnitValueRatio,
+    classify_ff,
+    classify_ghm,
+    decompose_shares,
+    unit_value_ratio,
+)
+from iitkit.indices import TradeType, TradeTypeMethod, classify_trade_type
 from iitkit.sensitivity import (
     DEFAULT_ALPHA_GRID,
     alpha_sweep,
@@ -13,6 +26,7 @@ from iitkit.sensitivity import (
 from conftest import make_flow, make_group
 
 AER = TradeTypeMethod.abd_el_rahman()
+VONA = TradeTypeMethod.vona()
 
 H = Differentiation.HORIZONTAL
 VH = Differentiation.VERTICAL_HIGH
@@ -22,6 +36,76 @@ VL = Differentiation.VERTICAL_LOW
 def ratio_flow(ratio, code="000001", period="2020"):
     """Balanced two-way flow with the requested export/import unit-value ratio."""
     return make_flow(100.0 * ratio, 100.0, 100.0, 100.0, code=code, period=period)
+
+
+def reference_report(group, family, alpha, type_method):
+    """One full decomposition at one alpha, each label from classify_ghm/classify_ff."""
+    classify = classify_ghm if family == "ghm" else classify_ff
+    total = group.total_trade
+    iit = hiit = hq = lq = unclassified = 0.0
+    details, labels = [], []
+    for flow in group.members:
+        trade_type = classify_trade_type(flow, type_method)
+        if family == "ghm":
+            amount = 2.0 * min(flow.export_value, flow.import_value)
+        else:
+            amount = flow.total_trade if trade_type is TradeType.TWO_WAY else 0.0
+        iit += amount
+        uvr = unit_value_ratio(flow)
+        ratio = uvr.ratio if isinstance(uvr, UnitValueRatio) else None
+        label = reason = None
+        if amount > 0 and ratio is not None:
+            label = classify(ratio, alpha)
+            if label is H:
+                hiit += amount
+            elif label is VH:
+                hq += amount
+            else:
+                lq += amount
+        elif amount > 0:
+            reason = uvr
+            unclassified += amount
+        details.append(IndustryDetail(flow.key, trade_type, ratio, reason, amount / total))
+        labels.append(label)
+    return SharesReport(
+        group.group_id, group.snapshot, family, alpha, type_method, total,
+        iit / total, hiit / total, (hq + lq) / total, hq / total, lq / total,
+        unclassified / total, tuple(details), tuple(labels),
+    )
+
+
+@st.composite
+def sweep_cases(draw):
+    """(family, type method, alpha grid, group): ratios on and one float either side
+    of each band edge of the grid, free ratios, and unclassifiable and one-way members."""
+    alphas = sorted(draw(st.lists(st.floats(0.001, 0.999), min_size=1, max_size=5, unique=True)))
+    edges = [e for a in alphas for e in (1 - a, 1 / (1 + a), 1 + a)]
+    near_edge = [r for e in edges for r in (math.nextafter(e, 0.0), e, math.nextafter(e, 2.0))]
+    ratio = st.one_of(st.sampled_from(near_edge), st.floats(0.01, 100.0))
+    flows = []
+    for i in range(draw(st.integers(1, 10))):
+        code = f"{i:06d}"
+        x = 2.0 ** draw(st.integers(-3, 3))  # export volume
+        m = draw(st.floats(0.1, 10.0))  # import volume
+        kind = draw(st.sampled_from(["ratio", "ratio", "missing", "zero-volume", "thin", "one-way"]))
+        if kind == "ratio":  # X = ratio * x and M = m, so the ratio is exact
+            flows.append(make_flow(draw(ratio) * x, m, x, m, code=code))
+        elif kind == "missing":
+            flows.append(make_flow(x, m, code=code))
+        elif kind == "zero-volume":
+            flows.append(make_flow(x, m, 0.0, m, code=code))
+        elif kind == "thin":  # often one-way under aer only: IIT under ghm, none under ff
+            flows.append(make_flow(64.0 * x, m, x, m, code=code))
+        else:  # one-way under either type method
+            flows.append(make_flow(x, 0.0, x, m, code=code))
+    family = draw(st.sampled_from(["ghm", "ff"]))
+    return family, draw(st.sampled_from([AER, VONA])), alphas, make_group(flows)
+
+
+def _hand_picked(family):
+    ratios = [0.3, 0.7, 0.86, 0.95, 1.0, 1.12, 1.16, 1.4, 2.5]
+    group = make_group([ratio_flow(r, code=f"{i:06d}") for i, r in enumerate(ratios)])
+    return family, AER, list(DEFAULT_ALPHA_GRID), group
 
 
 class TestAlphaSweep:
@@ -51,15 +135,32 @@ class TestAlphaSweep:
         assert result.reports == (direct,)
         assert result.flip_points == ()
 
-    def test_nestedness_along_grid(self):
-        ratios = [0.3, 0.7, 0.86, 0.95, 1.0, 1.12, 1.16, 1.4, 2.5]
-        group = make_group(
-            [ratio_flow(r, code=f"{i:06d}") for i, r in enumerate(ratios)]
-        )
-        for family in ("ghm", "ff"):
-            result = alpha_sweep(group, list(DEFAULT_ALPHA_GRID), family, AER)
-            for flip in result.flip_points:
-                assert flip.label_after is H  # labels only move toward Horizontal
+    @given(sweep_cases())
+    @example(_hand_picked("ghm"))
+    @example(_hand_picked("ff"))
+    def test_nestedness_along_grid(self, case):
+        """Each report equals a decomposition of its own at its alpha, and the
+        flips are exactly the label changes, each from vertical to horizontal."""
+        family, type_method, alphas, group = case
+        result = alpha_sweep(group, alphas, family, type_method)
+        expected = [reference_report(group, family, a, type_method) for a in alphas]
+        assert list(result.reports) == expected
+        flips = []
+        for a_hi, lo, hi in zip(alphas[1:], expected, expected[1:]):
+            after = {d.key: label for d, label in zip(hi.details, hi.labels)}
+            for d, before in zip(lo.details, lo.labels):
+                if before is not None and after[d.key] is not before:
+                    flips.append((d.key, a_hi, before, after[d.key]))
+        assert [
+            (f.key, f.alpha, f.label_before, f.label_after) for f in result.flip_points
+        ] == flips
+        for flip in result.flip_points:
+            assert flip.label_before in (VH, VL) and flip.label_after is H
+
+    def test_reports_share_one_details_tuple(self):
+        group = make_group([ratio_flow(1.16), make_flow(100, 100, code="000002")])
+        result = alpha_sweep(group, list(DEFAULT_ALPHA_GRID), "ghm", AER)
+        assert all(r.details is result.reports[0].details for r in result.reports)
 
     def test_result_carries_its_group(self):
         group = make_group([ratio_flow(1.16)], group_id="G7")
@@ -145,6 +246,29 @@ class TestNatureTransitions:
         report = nature_transitions(panel, 0.15, "ghm", AER)
         assert report.transitions == ()
         assert report.skipped == 1
+
+    @pytest.mark.parametrize("family, skipped, labelled", [("ghm", 3, 2), ("ff", 4, 1)])
+    def test_skipped_counts(self, family, skipped, labelled):
+        def period(p, codes):
+            flows = {
+                "000001": ratio_flow(1.0, code="000001", period=p),
+                "000002": make_flow(100, 100, code="000002", period=p),  # no volumes
+                "000003": ratio_flow(1.0, code="000003", period=p),
+                "000004": ratio_flow(1.0, code="000004", period=p),
+                # One-way under aer: IIT under ghm, none under ff.
+                "000005": make_flow(100, 5, 100, 100, code="000005", period=p),
+            }
+            return make_group([flows[c] for c in codes])
+
+        panel = [
+            period("2020", ["000001", "000002", "000003", "000005"]),
+            period("2021", ["000001", "000002", "000004", "000005"]),
+        ]
+        report = nature_transitions(panel, 0.15, family, AER)
+        # 000002 is unlabelled in both periods and counts once; 000003 and
+        # 000004 are each absent in one period; 000005 is unlabelled under ff.
+        assert report.skipped == skipped
+        assert len(report.transitions) == labelled
 
     def test_natural_period_order(self):
         # As plain strings 2020M10 sorts before 2020M2 and 2020M9.

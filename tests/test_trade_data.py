@@ -98,6 +98,24 @@ class TestParseFlowRecords:
         assert exc.value.reason == "not valid UTF-8"
 
 
+    @pytest.mark.parametrize("good_rows, row_number", [(None, 1), (0, 2), (1, 3)])
+    def test_oversized_field_rejected_with_row_number(self, good_rows, row_number):
+        # An unterminated quote makes the rest of the input one field, past
+        # the csv module's limit of 131,072 characters.
+        head = "" if good_rows is None else f"{HEADER}\n" + "2020,FRA,DEU,1,1,1,,,\n" * good_rows
+        with pytest.raises(FlowParseError) as exc:
+            parse(head + '2020,FRA,DEU,"' + "x" * 140_000 + "\n")
+        assert exc.value.row_number == row_number
+        assert "field limit" in exc.value.reason
+
+    def test_invalid_utf8_in_oversized_field_rejected_with_row_number(self):
+        # The decoder meets the bad byte before the csv module meets its limit.
+        raw = f"{HEADER}\n2020,FRA,DEU,1,1,1,,,\n2020,FRA,DEU,\"".encode() + b"x\xff" * 70_000
+        with pytest.raises(FlowParseError) as exc:
+            read_flows(io.BytesIO(raw))
+        assert (exc.value.row_number, exc.value.reason) == (3, "not valid UTF-8")
+
+
 class TestPairAndClean:
     """Key-level merging, through read_flows."""
 
@@ -234,3 +252,11 @@ def test_read_grouping_map():
     assert mapping == {"1": "G1", "2": "G2"}
     with pytest.raises(FlowParseError):
         read_grouping_map(io.StringIO("wrong,header\n"))
+
+
+@pytest.mark.parametrize("head, row_number", [("", 1), ("industry_code,group_id\n1,G1\n", 3)])
+def test_grouping_map_oversized_field_rejected_with_row_number(head, row_number):
+    with pytest.raises(FlowParseError) as exc:
+        read_grouping_map(io.StringIO(head + '"' + "y" * 140_000 + "\n"))
+    assert exc.value.row_number == row_number
+    assert "field limit" in exc.value.reason
