@@ -116,7 +116,7 @@ class TransitionReport:
     family: str
     alpha: float
     transitions: tuple[Transition, ...]
-    skipped: int  # industries absent or unclassifiable in either period of a pair
+    skipped: int  # industries absent or unlabelled in either period of a pair
 
     def to_dict(self) -> dict:
         return {
@@ -187,8 +187,8 @@ def nature_transitions(
 
     `panel` holds one group per period, all with the same reporter, partner
     and group id. Periods are ordered naturally by label, digit runs as
-    numbers. Industries absent or unclassifiable in either period of a pair
-    are skipped and counted.
+    numbers. Industries absent or unlabelled (no IIT or no ratio) in either
+    period of a pair are skipped, and counted once per pair.
     """
     groups = list(panel)
     panels = {(*g.snapshot[1:], g.group_id) for g in groups}
