@@ -3,7 +3,8 @@
 Subcommands mirror the library: `compute` writes the share decomposition per
 (period, reporter, partner, group), `sweep` re-runs it over an alpha grid and
 tabulates label flips, `transitions` tracks period-over-period label changes,
-and `validate` is a parse-only dry run for data onboarding.
+and `validate` is a dry run for data onboarding: it exits 0 only on a table
+every report command accepts.
 
 Exit codes: 0 success, 1 configuration error, 2 data error.
 """
@@ -11,16 +12,21 @@ Exit codes: 0 success, 1 configuration error, 2 data error.
 from __future__ import annotations
 
 import argparse
-import json
+import functools
+import gc
+import math
 import os
 import shutil
 import sys
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Callable
 
 from iitkit.differentiation import (
     FAMILIES,
     DifferentiationMethod,
+    Rows,
+    _unit_values,
     decompose_shares,
     reports_to_csv,
 )
@@ -133,7 +139,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_method_options(transitions)
     transitions.add_argument("--alpha", type=_fraction("--alpha"), default=0.15)
 
-    validate = subs.add_parser("validate", help="parse-only dry run")
+    validate = subs.add_parser("validate", help="check the table as the reports read it")
     validate.add_argument("--input", required=True, help="flow table CSV")
 
     return parser
@@ -158,7 +164,7 @@ def _load_groups(args: argparse.Namespace) -> list[IndustryGroup]:
         if not map_path.is_file():
             raise DataError(f"grouping file not found: {map_path}")
         try:
-            with open(map_path, encoding="utf-8", newline="") as fh:
+            with open(map_path, "rb") as fh:
                 mapping = read_grouping_map(fh)
         except FlowParseError as exc:
             raise DataError(f"{map_path}: {exc}") from exc
@@ -182,12 +188,74 @@ _CONFIG_KEYS = (
 )
 
 
+def _finite(value: float) -> str:
+    if value - value == 0.0:  # NaN for NaN and the infinities
+        return float.__repr__(value)
+    raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
+
+
+# The JSON text of each scalar type, as json.dump writes it.
+_SCALAR: dict[type, Callable[[object], str]] = {
+    str: encode_basestring_ascii,
+    float: _finite,
+    int: int.__repr__,
+    bool: ("false", "true").__getitem__,
+    type(None): lambda _: "null",
+}
+
+
+@functools.cache
+def _template(fields: tuple[str, ...], depth: int) -> str:
+    """%-template of a flat JSON object at nesting `depth`: one %s per field."""
+    pad = "\n" + "  " * (depth + 1)
+    members = ",".join(f"{pad}{encode_basestring_ascii(name)}: %s" for name in fields)
+    return f"{{{members}{pad[:-2]}}}"
+
+
+def _write_json(write: Callable[[str], object], value, depth: int) -> None:
+    """Write `value` as json.dump(value, indent=2) writes it at nesting `depth`.
+
+    A dict or a report record (anything with items()) is an object; a Rows
+    is a list of flat objects, each filled into one template; a list or
+    tuple is a list. Raises ValueError on a float that is not finite.
+    """
+    pad = "\n" + "  " * (depth + 1)
+    if hasattr(value, "items"):
+        sep = "{"
+        for key, member in value.items():
+            scalar = _SCALAR.get(type(member))
+            if scalar is None:
+                write(f"{sep}{pad}{encode_basestring_ascii(key)}: ")
+                _write_json(write, member, depth + 1)
+            else:
+                write(f"{sep}{pad}{encode_basestring_ascii(key)}: {scalar(member)}")
+            sep = ","
+        write("{}" if sep == "{" else pad[:-2] + "}")
+    elif isinstance(value, Rows):
+        template, scalar = _template(value.fields, depth + 1), _SCALAR
+        sep = "["
+        for row in value.values:
+            write(sep + pad + template % tuple([scalar[type(v)](v) for v in row]))
+            sep = ","
+        write("[]" if sep == "[" else pad[:-2] + "]")
+    elif isinstance(value, (list, tuple)):
+        sep = "["
+        for member in value:
+            write(sep + pad)
+            _write_json(write, member, depth + 1)
+            sep = ","
+        write("[]" if sep == "[" else pad[:-2] + "]")
+    else:
+        write(_SCALAR[type(value)](value))
+
+
 def _write_report(
     args: argparse.Namespace, key: str, records: list, to_csv: Callable[[list], str], **extra
 ) -> int:
     """Write the records as `to_csv(records)` or as a JSON document holding them under `key`.
 
-    The JSON document starts with the run's config, extended by `extra`.
+    The JSON document starts with the run's config, extended by `extra`, and
+    is written a piece at a time, with the bytes json.dump(indent=2) gives.
     With --output naming a file, the report goes to a temporary file beside
     it, which replaces it only once the report is complete.
     """
@@ -198,9 +266,8 @@ def _write_report(
             return
         options = vars(args)
         config = {**{k: options[k] for k in _CONFIG_KEYS if k in options}, **extra}
-        document = {"config": config, key: [r.to_dict() for r in records]}
         try:
-            json.dump(document, fh, indent=2, allow_nan=False)
+            _write_json(fh.write, {"config": config, key: records}, 0)
         except ValueError as exc:
             raise DataError(f"report holds a number JSON cannot encode: {exc}") from exc
         fh.write("\n")
@@ -273,6 +340,20 @@ def _run_transitions(args: argparse.Namespace) -> int:
 
 def _run_validate(args: argparse.Namespace) -> int:
     cleaned = _read_input(args)
+    # The reports also form each key's unit-value ratio and sum each group's
+    # trade. A group's members are a subsequence of its snapshot's flows, and
+    # float sums of nonnegative values only grow along a sequence, so a finite
+    # snapshot total bounds every group's, and a finite total of the whole
+    # table bounds every snapshot's.
+    for flow in cleaned.flows:
+        _unit_values(flow)  # raises OverflowError on a ratio out of the float range
+    if sum(flow.total_trade for flow in cleaned.flows) == math.inf:
+        totals: dict[tuple[str, str, str], float] = {}
+        for flow in cleaned.flows:
+            snapshot = flow.key[:3]
+            totals[snapshot] = totals.get(snapshot, 0.0) + flow.total_trade
+            if totals[snapshot] == math.inf:
+                raise OverflowError(f"total trade of {snapshot} exceeds the float range")
     print(
         f"ok: {cleaned.rows_read} rows, {len(cleaned.flows)} industry flows, "
         f"{cleaned.dropped_zero_trade} zero-trade industries dropped"
@@ -302,6 +383,9 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def entry_point() -> None:
+    # One run builds millions of objects that form no reference cycles, so the
+    # cyclic collector would only cost time. Library callers keep theirs.
+    gc.disable()
     raise SystemExit(main())
 
 

@@ -17,7 +17,7 @@ import io
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from iitkit.indices import TradeType, TradeTypeMethod, check_fraction, classify_trade_type
 from iitkit.trade_data import FlowKey, IndustryFlow, IndustryGroup
@@ -105,6 +105,12 @@ def unit_value_ratio(flow: IndustryFlow) -> UnitValueRatio | UnclassifiableReaso
     Raises OverflowError when the ratio of finite positive inputs is not a
     positive finite float, because a unit value over- or underflowed.
     """
+    values = _unit_values(flow)
+    return values if isinstance(values, UnclassifiableReason) else UnitValueRatio(*values)
+
+
+def _unit_values(flow: IndustryFlow) -> tuple[float, float, float] | UnclassifiableReason:
+    """`unit_value_ratio` as a plain (X/x, M/m, ratio) tuple, for the per-flow loops."""
     if flow.export_volume is None or flow.import_volume is None:
         return UnclassifiableReason.MISSING_VOLUME
     if flow.export_volume == 0 or flow.import_volume == 0:
@@ -119,7 +125,29 @@ def unit_value_ratio(flow: IndustryFlow) -> UnitValueRatio | UnclassifiableReaso
             f"unit-value ratio of key {tuple(flow.key)} is {ratio}: "
             "a unit value over- or underflows the float range"
         )
-    return UnitValueRatio(vux, vum, ratio)
+    return vux, vum, ratio
+
+
+class Rows(NamedTuple):
+    """Flat records as value tuples under one field-name tuple: in JSON, a list of objects."""
+
+    fields: tuple[str, ...]
+    values: Iterable[tuple]
+
+
+def _plain(value):
+    """The JSON form of `value`: each report record a dict, each Rows or sequence a list.
+
+    A report record is anything with `items()`, the (key, value) pairs of its
+    JSON object in order.
+    """
+    if hasattr(value, "items"):
+        return {key: _plain(member) for key, member in value.items()}
+    if isinstance(value, Rows):
+        return [dict(zip(value.fields, row)) for row in value.values]
+    if isinstance(value, (list, tuple)):
+        return [_plain(member) for member in value]
+    return value
 
 
 @dataclass(frozen=True)
@@ -131,6 +159,23 @@ class IndustryDetail:
     ratio: float | None
     unclassifiable: UnclassifiableReason | None
     contribution: float  # this industry's IIT amount as a share of group trade
+
+    # Names of values(label), in order: the JSON keys of an industry line.
+    FIELDS = (
+        "period", "reporter", "partner", "industry_code",
+        "trade_type", "ratio", "label", "unclassifiable", "contribution",
+    )
+
+    def values(self, label: Differentiation | None) -> tuple:
+        """The industry line under `label`, the industry's label in its report."""
+        return (
+            *self.key,
+            self.trade_type.value,
+            self.ratio,
+            label.value if label else None,
+            self.unclassifiable.value if self.unclassifiable else None,
+            self.contribution,
+        )
 
 
 @dataclass(frozen=True)
@@ -192,20 +237,16 @@ class SharesReport:
             self.unclassified_share,
         )
 
+    def items(self) -> tuple[tuple[str, object], ...]:
+        """The members of the JSON form: FIELDS, then "industries", one line per detail."""
+        industries = map(IndustryDetail.values, self.details, self.labels)
+        return (
+            *zip(self.FIELDS, self.values()),
+            ("industries", Rows(IndustryDetail.FIELDS, industries)),
+        )
+
     def to_dict(self) -> dict:
-        out = dict(zip(self.FIELDS, self.values()))
-        out["industries"] = [
-            {
-                **d.key._asdict(),  # period, reporter, partner, industry_code
-                "trade_type": d.trade_type.value,
-                "ratio": d.ratio,
-                "label": label.value if label else None,
-                "unclassifiable": d.unclassifiable.value if d.unclassifiable else None,
-                "contribution": d.contribution,
-            }
-            for d, label in zip(self.details, self.labels)
-        ]
-        return out
+        return _plain(self)
 
 
 def _csv_text(header: Sequence[str], rows: Iterable[Sequence]) -> str:
@@ -270,8 +311,8 @@ def _decompose(
             amount = flow.total_trade if trade_type is TradeType.TWO_WAY else 0.0
         iit += amount
 
-        uvr = unit_value_ratio(flow)
-        ratio = uvr.ratio if isinstance(uvr, UnitValueRatio) else None
+        uvr = _unit_values(flow)
+        ratio = None if isinstance(uvr, UnclassifiableReason) else uvr[2]
         item = reason = None
         if amount > 0:
             if ratio is not None:

@@ -19,9 +19,11 @@ from typing import Iterable, Sequence
 from iitkit.differentiation import (
     Differentiation,
     DifferentiationMethod,
+    Rows,
     SharesReport,
     _csv_text,
     _decompose,
+    _plain,
     decompose_shares,
 )
 from iitkit.indices import TradeTypeMethod, check_fraction
@@ -59,14 +61,18 @@ class SweepResult:
     reports: tuple[SharesReport, ...]
     flip_points: tuple[FlipPoint, ...]
 
+    def items(self) -> tuple[tuple[str, object], ...]:
+        """The members of the JSON form, in order."""
+        return (
+            ("group_id", self.group_id),
+            *zip(("period", "reporter", "partner"), self.snapshot),
+            ("alphas", self.alphas),
+            ("reports", self.reports),
+            ("flip_points", Rows(FlipPoint.FIELDS, map(FlipPoint.values, self.flip_points))),
+        )
+
     def to_dict(self) -> dict:
-        return {
-            "group_id": self.group_id,
-            **dict(zip(("period", "reporter", "partner"), self.snapshot)),
-            "alphas": list(self.alphas),
-            "reports": [r.to_dict() for r in self.reports],
-            "flip_points": [dict(zip(FlipPoint.FIELDS, f.values())) for f in self.flip_points],
-        }
+        return _plain(self)
 
 
 @dataclass(frozen=True)
@@ -118,16 +124,20 @@ class TransitionReport:
     transitions: tuple[Transition, ...]
     skipped: int  # industries absent or unlabelled in either period of a pair
 
+    def items(self) -> tuple[tuple[str, object], ...]:
+        """The members of the JSON form, in order."""
+        return (
+            ("reporter", self.reporter),
+            ("partner", self.partner),
+            ("group_id", self.group_id),
+            ("family", self.family),
+            ("alpha", self.alpha),
+            ("skipped", self.skipped),
+            ("transitions", Rows(Transition.FIELDS, map(Transition.values, self.transitions))),
+        )
+
     def to_dict(self) -> dict:
-        return {
-            "reporter": self.reporter,
-            "partner": self.partner,
-            "group_id": self.group_id,
-            "family": self.family,
-            "alpha": self.alpha,
-            "skipped": self.skipped,
-            "transitions": [t.to_dict() for t in self.transitions],
-        }
+        return _plain(self)
 
 
 def _validate_alphas(alphas: Sequence[float]) -> tuple[float, ...]:

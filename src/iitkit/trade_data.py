@@ -17,7 +17,7 @@ import io
 import math
 import re
 from dataclasses import dataclass
-from typing import IO, Iterable, Iterator, NamedTuple
+from typing import IO, Callable, Iterable, Iterator, NamedTuple, TypeVar
 
 EXPECTED_HEADER = (
     "period",
@@ -32,6 +32,8 @@ EXPECTED_HEADER = (
 )
 
 GROUP_POLICIES = ("own-code", "strict", "drop")
+
+_T = TypeVar("_T")
 
 
 class FlowParseError(ValueError):
@@ -285,6 +287,22 @@ def _merge(rows: Iterable[_Row]) -> CleanResult:
     return CleanResult(tuple(flows), dropped, rows_read)
 
 
+def _read_csv(
+    source: IO[bytes] | IO[str] | Iterable[str], parse: Callable[[Iterable[str]], _T]
+) -> _T:
+    """`parse(source)`, with a binary stream decoded as UTF-8 first.
+
+    Bytes that are not UTF-8 in a seekable binary stream raise
+    FlowParseError naming their row.
+    """
+    if hasattr(source, "read") and isinstance(source.read(0), bytes):
+        try:
+            return parse(io.TextIOWrapper(source, encoding="utf-8", newline=""))
+        except UnicodeDecodeError:
+            raise FlowParseError(_undecodable_row(source), "not valid UTF-8") from None
+    return parse(source)
+
+
 def read_flows(source: IO[bytes] | IO[str] | Iterable[str]) -> CleanResult:
     """Parse, validate and merge a trade table in one pass.
 
@@ -296,12 +314,7 @@ def read_flows(source: IO[bytes] | IO[str] | Iterable[str]) -> CleanResult:
     UnitConflictError on a key whose records disagree on the volume unit and
     OverflowError on a key whose totals exceed the float range.
     """
-    if hasattr(source, "read") and isinstance(source.read(0), bytes):
-        try:
-            return _merge(_validated_rows(io.TextIOWrapper(source, encoding="utf-8", newline="")))
-        except UnicodeDecodeError:
-            raise FlowParseError(_undecodable_row(source), "not valid UTF-8") from None
-    return _merge(_validated_rows(source))
+    return _read_csv(source, lambda text: _merge(_validated_rows(text)))
 
 
 def apply_grouping(
@@ -341,8 +354,16 @@ def apply_grouping(
     ]
 
 
-def read_grouping_map(source: IO[str] | Iterable[str]) -> dict[str, str]:
-    """Read a two-column industry_code,group_id CSV (with header) into a dict."""
+def read_grouping_map(source: IO[bytes] | IO[str] | Iterable[str]) -> dict[str, str]:
+    """Read a two-column industry_code,group_id CSV (with header) into a dict.
+
+    `source` is decoded as read_flows decodes it. Raises FlowParseError on a
+    malformed row, bytes that are not UTF-8 included.
+    """
+    return _read_csv(source, _grouping_map)
+
+
+def _grouping_map(source: Iterable[str]) -> dict[str, str]:
     reader = csv.reader(source)
     try:
         header = next(reader)

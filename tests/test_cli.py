@@ -1,18 +1,34 @@
+import argparse
 import csv
 import dataclasses
+import gc
 import hashlib
 import io
 import json
 import math
 import os
 import stat
+import subprocess
+import sys
+from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
+import iitkit
 import iitkit.cli as cli
 from iitkit.cli import main
 from iitkit.datasets import example_flows_path, example_panel_path
+from iitkit.differentiation import (
+    Differentiation,
+    IndustryDetail,
+    SharesReport,
+    UnclassifiableReason,
+)
+from iitkit.indices import TradeType
+from iitkit.sensitivity import FlipPoint, SweepResult, Transition, TransitionReport
+from iitkit.trade_data import FlowKey, read_flows
 
 HEADER = "period,reporter,partner,industry_code,export_value,import_value,export_qty,import_qty,qty_unit"
 
@@ -171,6 +187,12 @@ class TestCompute:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {path}: row 3: ") and "field limit" in err
 
+    def test_invalid_utf8_group_map_exits_2_with_row_number(self, flows_csv, tmp_path, capsys):
+        gmap = tmp_path / "map.csv"
+        gmap.write_bytes(b"industry_code,group_id\n1,\xff\n")
+        assert run("compute", "--input", flows_csv, "--group-map", gmap) == 2
+        assert capsys.readouterr().err == f"error: {gmap}: row 2: not valid UTF-8\n"
+
     def test_oversized_group_map_field_exits_2_with_row_number(self, flows_csv, tmp_path, capsys):
         gmap = tmp_path / "map.csv"
         gmap.write_text(f'industry_code,group_id\n000001,G\n"{"y" * 140_000}\n')
@@ -282,6 +304,33 @@ class TestValidate:
         path.write_text(f"{HEADER}\n2020,FRA,DEU,1,1,1,5,,\n")
         assert run("validate", "--input", path) == 2
         assert "row 2" in capsys.readouterr().err
+
+    def test_non_finite_ratio_exits_2_as_the_reports_do(self, tmp_path, capsys):
+        path = tmp_path / "nan.csv"
+        path.write_text(f"{HEADER}\n2020,FRA,DEU,1,1e300,1e300,1e-10,1e-10,kg\n")
+        assert run("validate", "--input", path) == 2
+        assert capsys.readouterr() == ("", (
+            "error: unit-value ratio of key ('2020', 'FRA', 'DEU', '1') is nan: "
+            "a unit value over- or underflows the float range\n"
+        ))
+
+    def test_overflowing_snapshot_total_exits_2(self, tmp_path, capsys):
+        # Each key is finite; a --group-map that puts both in one group overflows it.
+        path = tmp_path / "big.csv"
+        path.write_text(
+            f"{HEADER}\n2019,FRA,DEU,1,1e308,0,,,\n"
+            "2020,FRA,DEU,1,1e308,0,,,\n2020,FRA,DEU,2,1e308,0,,,\n"
+        )
+        assert run("validate", "--input", path) == 2
+        assert capsys.readouterr().err == (
+            "error: total trade of ('2020', 'FRA', 'DEU') exceeds the float range\n"
+        )
+
+    def test_overflowing_table_total_with_finite_snapshots_passes(self, tmp_path, capsys):
+        path = tmp_path / "big.csv"
+        path.write_text(f"{HEADER}\n2020,FRA,DEU,1,1e308,0,,,\n2021,FRA,DEU,1,1e308,0,,,\n")
+        assert run("validate", "--input", path) == 0
+        assert run("transitions", "--input", path) == 0
 
 
 class TestBundledData:
@@ -499,6 +548,139 @@ class TestGoldenOutput:
         assert self.digest(capsys) == GOLDEN_VALIDATE[dataset]
 
 
+class TestEntryPoint:
+    """The installed command and `python -m iitkit.cli` run through entry_point,
+    which switches the cyclic collector off; main() leaves it as it was."""
+
+    @staticmethod
+    def run_module(*args, cwd=None):
+        src = str(Path(iitkit.__file__).parent.parent)
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        return subprocess.run(
+            [sys.executable, *args], cwd=cwd, capture_output=True,
+            env={**os.environ, "PYTHONPATH": path},
+        )
+
+    @pytest.mark.parametrize("case", [
+        ("example_panel.csv", "transitions", "json", "ff", "vona"),
+        ("example_panel.csv", "compute", "json", "ghm", "aer"),
+        ("example_panel.csv", "sweep", "json", "ghm", "aer"),
+    ], ids="-".join)
+    def test_module_run_matches_golden(self, case):
+        dataset, command, fmt, family, type_method = case
+        proc = self.run_module(
+            "-m", "iitkit.cli", command, "--input", dataset, "--format", fmt,
+            "--family", family, "--type-method", type_method,
+            cwd=example_flows_path().parent,
+        )
+        assert proc.stderr == b""
+        assert (proc.returncode, hashlib.sha256(proc.stdout).hexdigest()) == GOLDEN[case]
+
+    def test_entry_point_disables_the_cyclic_collector(self):
+        proc = self.run_module("-c", (
+            "import gc, iitkit.cli as cli\n"
+            "cli.main = lambda: print(gc.isenabled()) or 0\n"
+            "cli.entry_point()\n"
+        ))
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"False\n", b"")
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_main_leaves_the_collector_as_it_found_it(self, flows_csv, capsys, enabled):
+        was = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            assert run("compute", "--input", flows_csv) == 0
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was else gc.disable)()
+
+
+# Scalars json.dump writes in its own ways: escapes, the shortest float
+# repr, the largest float printed without an exponent, ints, bools and null.
+_TEXT = st.text(st.one_of(st.sampled_from('"\\/%\x00\x1f\x7f\u2028é€😀'), st.characters()), max_size=6)
+_FLOAT = st.one_of(
+    st.sampled_from([-0.0, 0.0, 5e-324, 1e16, 1e-7, 0.1 + 0.2, 1.7976931348623157e308]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+_SCALAR = st.one_of(_TEXT, _FLOAT, st.integers(), st.booleans(), st.none())
+_KEY = st.builds(FlowKey, _TEXT, _TEXT, _TEXT, _TEXT)
+_LABEL = st.sampled_from(Differentiation)
+_DETAIL = st.builds(
+    IndustryDetail, _KEY, st.sampled_from(TradeType), _SCALAR,
+    st.one_of(st.none(), st.sampled_from(UnclassifiableReason)), _SCALAR,
+)
+
+
+@st.composite
+def _shares_reports(draw):
+    details = draw(st.lists(_DETAIL, max_size=3))
+    return SharesReport(
+        draw(_SCALAR), (draw(_TEXT), draw(_TEXT), draw(_TEXT)), draw(_SCALAR), draw(_SCALAR),
+        SimpleNamespace(kind=draw(_SCALAR), threshold=draw(_SCALAR)),
+        *draw(st.tuples(*[_SCALAR] * 7)), tuple(details),
+        tuple(draw(st.lists(st.one_of(st.none(), _LABEL), min_size=len(details), max_size=len(details)))),
+    )
+
+
+_SWEEP = st.builds(
+    SweepResult, _SCALAR, st.tuples(_TEXT, _TEXT, _TEXT), st.lists(_SCALAR, max_size=3).map(tuple),
+    st.lists(_shares_reports(), max_size=2).map(tuple),
+    st.lists(st.builds(FlipPoint, _KEY, _SCALAR, _LABEL, _LABEL), max_size=3).map(tuple),
+)
+_PANEL = st.builds(
+    TransitionReport, _TEXT, _TEXT, _SCALAR, _SCALAR, _SCALAR,
+    st.lists(st.builds(Transition, _KEY, _KEY, _SCALAR, _SCALAR, _LABEL, _LABEL), max_size=3).map(tuple),
+    _SCALAR,
+)
+_DOCUMENT = st.one_of(
+    st.tuples(st.just("reports"), st.lists(_shares_reports(), max_size=3)),
+    st.tuples(st.just("sweeps"), st.lists(_SWEEP, max_size=2)),
+    st.tuples(st.just("panels"), st.lists(_PANEL, max_size=3)),
+)
+_OPTIONS = st.fixed_dictionaries({}, optional={
+    k: st.one_of(_SCALAR, st.lists(_SCALAR, max_size=3)) for k in cli._CONFIG_KEYS if k != "format"
+})
+
+
+class TestJsonReport:
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(document=_DOCUMENT, options=_OPTIONS, extra=st.dictionaries(
+        st.just("skipped"), st.one_of(_SCALAR, st.dictionaries(_TEXT, _SCALAR, max_size=2)),
+    ))
+    def test_bytes_match_json_dump(self, capsys, document, options, extra):
+        """Each document kind is written as json.dump(indent=2) writes its to_dict() form."""
+        key, records = document
+        options = {**options, "format": "json"}
+        args = argparse.Namespace(**options, output=None)
+        assert cli._write_report(args, key, records, None, **extra) == 0
+        config = {**{k: options[k] for k in cli._CONFIG_KEYS if k in options}, **extra}
+        expected = {"config": config, key: [r.to_dict() for r in records]}
+        assert capsys.readouterr().out == json.dumps(expected, indent=2, allow_nan=False) + "\n"
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("command, name, plant", [
+        # A group-level share, an industry line, and a transition line.
+        ("compute", "decompose_shares", lambda r, v: dataclasses.replace(r, total_trade=v)),
+        ("sweep", "alpha_sweep", lambda s, v: dataclasses.replace(s, reports=(dataclasses.replace(
+            s.reports[0], details=(dataclasses.replace(s.reports[0].details[0], contribution=v),
+                                   *s.reports[0].details[1:])), *s.reports[1:]))),
+        ("transitions", "nature_transitions", lambda p, v: dataclasses.replace(p, transitions=(
+            dataclasses.replace(p.transitions[0], ratio_to=v), *p.transitions[1:]))),
+    ])
+    def test_non_finite_number_exits_2_and_writes_nothing(
+        self, tmp_path, monkeypatch, capsys, command, name, plant, value
+    ):
+        real = getattr(cli, name)
+        monkeypatch.setattr(cli, name, lambda *a: plant(real(*a), value))
+        out = tmp_path / "report.json"
+        assert run(command, "--input", example_panel_path(), "--output", out) == 2
+        assert capsys.readouterr() == ("", (
+            "error: report holds a number JSON cannot encode: "
+            f"Out of range float values are not JSON compliant: {value!r}\n"
+        ))
+        assert list(tmp_path.iterdir()) == []
+
+
 def _reject_constant(name):
     raise ValueError(f"{name} in a JSON report")
 
@@ -533,6 +715,10 @@ _BODY = st.one_of(
         lambda t: "".join(t[0]).encode() + t[1]
     ),
 )
+# Rows whose cells all parse, so that validate accepts many of the tables.
+_VALID_ROWS = st.lists(_ROW.filter(lambda line: not any(
+    cell in ("", "1e999", "inf", "-inf", "nan", "-1", "x") for cell in line.split(",")[4:6]
+)), max_size=8).map(lambda rows: "".join(rows).encode())
 _RUN = st.sampled_from([
     ("compute", "json"), ("compute", "csv"), ("sweep", "json"), ("sweep", "csv"),
     ("transitions", "json"), ("transitions", "csv"), ("validate", None),
@@ -571,3 +757,25 @@ class TestFuzz:
                     except ValueError:
                         continue
                     assert math.isfinite(value), row
+
+    @settings(
+        max_examples=200, deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(body=st.one_of(_BODY, _VALID_ROWS), family=st.sampled_from(["ghm", "ff"]))
+    @example(body=b"2020,FRA,DEU,1,1e300,1e300,1e-10,1e-10,kg\n", family="ghm")  # NaN ratio
+    def test_validate_ok_means_the_reports_run(self, tmp_path, capsys, body, family):
+        """A table validate accepts is one every report command accepts:
+        transitions exits 1 only when the table has fewer than 2 periods."""
+        table = tmp_path / "fuzz.csv"
+        table.write_bytes(f"{HEADER}\n".encode() + body)
+        if main(["validate", "--input", str(table)]) != 0:
+            capsys.readouterr()
+            return
+        with open(table, "rb") as fh:
+            periods = {flow.key.period for flow in read_flows(fh).flows}
+        for command in ("compute", "sweep", "transitions"):
+            code = main([command, "--input", str(table), "--family", family])
+            expected = 1 if command == "transitions" and len(periods) < 2 else 0
+            assert code == expected, (command, capsys.readouterr().err)
+        capsys.readouterr()

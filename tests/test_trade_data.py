@@ -260,3 +260,10 @@ def test_grouping_map_oversized_field_rejected_with_row_number(head, row_number)
         read_grouping_map(io.StringIO(head + '"' + "y" * 140_000 + "\n"))
     assert exc.value.row_number == row_number
     assert "field limit" in exc.value.reason
+
+
+def test_grouping_map_bytes_decoded_and_invalid_utf8_rejected_with_row_number():
+    assert read_grouping_map(io.BytesIO("industry_code,group_id\n1,Gé\n".encode())) == {"1": "Gé"}
+    with pytest.raises(FlowParseError) as exc:
+        read_grouping_map(io.BytesIO(b"industry_code,group_id\n1,G1\n2,\xff\n"))
+    assert (exc.value.row_number, exc.value.reason) == (3, "not valid UTF-8")
