@@ -145,10 +145,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _readable(name: str, what: str) -> Path:
+    """`name` as a Path if it exists and is not a directory: a file, a device or a pipe."""
+    path = Path(name)
+    if not path.exists() or path.is_dir():
+        raise DataError(f"{what} not found: {path}")
+    return path
+
+
 def _read_input(args: argparse.Namespace) -> CleanResult:
-    path = Path(args.input)
-    if not path.is_file():
-        raise DataError(f"input file not found: {path}")
+    path = _readable(args.input, "input file")
     try:
         with open(path, "rb") as fh:
             return read_flows(fh)
@@ -160,9 +166,7 @@ def _load_groups(args: argparse.Namespace) -> list[IndustryGroup]:
     cleaned = _read_input(args)
     mapping = None
     if args.group_map is not None:
-        map_path = Path(args.group_map)
-        if not map_path.is_file():
-            raise DataError(f"grouping file not found: {map_path}")
+        map_path = _readable(args.group_map, "grouping file")
         try:
             with open(map_path, "rb") as fh:
                 mapping = read_grouping_map(fh)
@@ -345,9 +349,13 @@ def _run_validate(args: argparse.Namespace) -> int:
     # float sums of nonnegative values only grow along a sequence, so a finite
     # snapshot total bounds every group's, and a finite total of the whole
     # table bounds every snapshot's.
+    # A plain left fold, as IndustryGroup.total_trade is: the bound above
+    # holds only for a fold, not for the compensated sum() of Python 3.12.
+    table_total = 0.0
     for flow in cleaned.flows:
         _unit_values(flow)  # raises OverflowError on a ratio out of the float range
-    if sum(flow.total_trade for flow in cleaned.flows) == math.inf:
+        table_total += flow.total_trade
+    if table_total == math.inf:
         totals: dict[tuple[str, str, str], float] = {}
         for flow in cleaned.flows:
             snapshot = flow.key[:3]

@@ -277,20 +277,42 @@ def decompose_shares(
     cannot be formed move their IIT amount into unclassified_share. Raises
     OverflowError when the group's total trade exceeds the float range.
     """
-    (report,) = _decompose(group, [diff_method], type_method)
+    (report,), _ = _decompose(group, [diff_method], type_method)
     return report
+
+
+def _first_horizontal(methods: Sequence[DifferentiationMethod], ratio: float) -> int:
+    """Index of the first of `methods` that calls `ratio` horizontal, or len(methods).
+
+    `methods[0]` must call it vertical. Along the grid the band only widens,
+    so the widest method settles whether any does, and bisection finds which.
+    """
+    lo, hi = 0, len(methods) - 1
+    if methods[hi].classify(ratio) is not Differentiation.HORIZONTAL:
+        return len(methods)
+    while hi - lo > 1:  # methods[lo] calls it vertical, methods[hi] horizontal
+        mid = (lo + hi) // 2
+        if methods[mid].classify(ratio) is Differentiation.HORIZONTAL:
+            hi = mid
+        else:
+            lo = mid
+    return hi
 
 
 def _decompose(
     group: IndustryGroup,
     methods: Sequence[DifferentiationMethod],
     type_method: TradeTypeMethod,
-) -> list[SharesReport]:
-    """`decompose_shares` under each of `methods`, all of one family, in one member pass.
+) -> tuple[list[SharesReport], list[int]]:
+    """`decompose_shares` under each of `methods`, one family along a widening band.
 
-    Only the band test and the sums repeat per method. Each sum runs in
-    member order, as in a decomposition of its own, and all the reports
-    share one details tuple.
+    The member pass forms each member's IIT amount, ratio and label under
+    `methods[0]` once, and finds the index of the first method that calls
+    the member horizontal: at or past it the member is horizontal, before it
+    it keeps its first label. A member labelled under no method, or
+    horizontal under none, gets len(methods). Only the sums then repeat per
+    method, each in member order, as in a decomposition of its own; all the
+    reports share one details tuple. Returns the reports and those indices.
     """
     total = group.total_trade
     if total == math.inf:
@@ -298,11 +320,15 @@ def _decompose(
             f"total trade of group {group.group_id!r} in {group.snapshot} exceeds the float range"
         )
     ghm = methods[0].family == "ghm"
+    first_method, count = methods[0], len(methods)
+    horizontal = Differentiation.HORIZONTAL
 
     iit = unclassified = 0.0
     details: list[IndustryDetail] = []
-    # Per member, the (IIT amount, ratio) the band test attributes, or None.
-    classified: list[tuple[float, float] | None] = []
+    # Per member: the IIT amount, the first horizontal index, the label under methods[0].
+    amounts: list[float] = []
+    firsts: list[int] = []
+    kept: list[Differentiation | None] = []
     for flow in group.members:
         trade_type = classify_trade_type(flow, type_method)
         if ghm:
@@ -313,33 +339,41 @@ def _decompose(
 
         uvr = _unit_values(flow)
         ratio = None if isinstance(uvr, UnclassifiableReason) else uvr[2]
-        item = reason = None
+        label = reason = None
+        first = count
         if amount > 0:
             if ratio is not None:
-                item = (amount, ratio)
+                label = first_method.classify(ratio)
+                if label is horizontal:
+                    first = 0
+                elif count > 1:
+                    first = _first_horizontal(methods, ratio)
             else:
                 reason = uvr
                 unclassified += amount
-        classified.append(item)
+        amounts.append(amount)
+        firsts.append(first)
+        kept.append(label)
         details.append(IndustryDetail(flow.key, trade_type, ratio, reason, amount / total))
     shared = tuple(details)
 
     reports = []
-    for method in methods:
+    vertical_high = Differentiation.VERTICAL_HIGH
+    labels = tuple(kept)
+    for k, method in enumerate(methods):
         hiit = hq = lq = 0.0
-        labels: list[Differentiation | None] = []
-        for item in classified:
-            label = None if item is None else method.classify(item[1])
-            if label is Differentiation.HORIZONTAL:
-                hiit += item[0]
-            elif label is Differentiation.VERTICAL_HIGH:
-                hq += item[0]
-            elif label is Differentiation.VERTICAL_LOW:
-                lq += item[0]
-            labels.append(label)
+        for amount, first, label in zip(amounts, firsts, kept):
+            if first <= k:
+                hiit += amount
+            elif label is vertical_high:
+                hq += amount
+            elif label is not None:
+                lq += amount
+        if k:  # at k = 0 the labels are the kept ones
+            labels = tuple([horizontal if f <= k else label for f, label in zip(firsts, kept)])
         reports.append(SharesReport(
             group.group_id, group.snapshot, method.family, method.alpha, type_method, total,
             iit / total, hiit / total, (hq + lq) / total, hq / total, lq / total,
-            unclassified / total, shared, tuple(labels),
+            unclassified / total, shared, labels,
         ))
-    return reports
+    return reports, firsts

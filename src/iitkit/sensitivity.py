@@ -3,10 +3,11 @@
 The horizontal band is arbitrary: widening alpha can silently re-label an
 industry, and a tiny period-over-period movement of the unit-value ratio
 across the band edge flips its assigned nature. `alpha_sweep` decomposes a
-group once and re-runs only the band test at each alpha of a grid, recording
-every label flip between adjacent grid points; `nature_transitions` records
-them across consecutive periods of a panel at a fixed alpha. Flips are
-detected on labels, not on ratio movements, so hairline crossings are
+group once over an alpha grid: since the band only widens with alpha, each
+industry is horizontal from one grid point on, found by bisecting the grid,
+and its labels and its one flip follow from that point. `nature_transitions`
+records flips across consecutive periods of a panel at a fixed alpha. Flips
+are detected on labels, not on ratio movements, so hairline crossings are
 reported rather than smoothed.
 """
 
@@ -159,20 +160,22 @@ def alpha_sweep(
 ) -> SweepResult:
     """The share table at each alpha, and the label flips between adjacent alphas.
 
-    Along increasing alpha the horizontal band only widens, so every flip
-    moves toward Horizontal; a reverse move would indicate a bug upstream.
+    Along increasing alpha the horizontal band only widens, so a member
+    flips at most once, at the first alpha that calls it horizontal, from
+    its label at the first alpha. Flips are listed by boundary, then in
+    member order.
     """
     alphas = _validate_alphas(alphas)
     methods = [DifferentiationMethod(family, a) for a in alphas]
-    reports = tuple(_decompose(group, methods, type_method))
-
-    flips: list[FlipPoint] = []
-    for a_hi, lo, hi in zip(alphas[1:], reports, reports[1:]):
-        # Whether an industry is labelled does not depend on alpha.
-        for detail, before, after in zip(lo.details, lo.labels, hi.labels):
-            if after is not before:
-                flips.append(FlipPoint(detail.key, a_hi, before, after))
-    return SweepResult(group.group_id, group.snapshot, alphas, reports, tuple(flips))
+    reports, firsts = _decompose(group, methods, type_method)
+    details, kept = reports[0].details, reports[0].labels
+    flipping = [i for i, first in enumerate(firsts) if 0 < first < len(alphas)]
+    flipping.sort(key=firsts.__getitem__)  # stable: member order within a boundary
+    flips = tuple(
+        FlipPoint(details[i].key, alphas[firsts[i]], kept[i], Differentiation.HORIZONTAL)
+        for i in flipping
+    )
+    return SweepResult(group.group_id, group.snapshot, alphas, tuple(reports), flips)
 
 
 def _period_order(period: str) -> tuple[list, str]:

@@ -37,10 +37,10 @@ _T = TypeVar("_T")
 
 
 class FlowParseError(ValueError):
-    """A malformed input row; carries the 1-based row number and a reason."""
+    """A malformed input row; carries the 1-based row number, or None if unknown, and a reason."""
 
-    def __init__(self, row_number: int, reason: str):
-        super().__init__(f"row {row_number}: {reason}")
+    def __init__(self, row_number: int | None, reason: str):
+        super().__init__(reason if row_number is None else f"row {row_number}: {reason}")
         self.row_number = row_number
         self.reason = reason
 
@@ -110,7 +110,15 @@ class IndustryGroup:
 
     @property
     def total_trade(self) -> float:
-        return sum(m.total_trade for m in self.members)
+        """Members' trade summed left to right, as every total here is.
+
+        Not `sum()`: from Python 3.12 it compensates float rounding, so the
+        bytes of a report would depend on the Python version.
+        """
+        total = 0.0
+        for member in self.members:
+            total += member.total_trade
+        return total
 
 
 @dataclass(frozen=True)
@@ -292,14 +300,15 @@ def _read_csv(
 ) -> _T:
     """`parse(source)`, with a binary stream decoded as UTF-8 first.
 
-    Bytes that are not UTF-8 in a seekable binary stream raise
-    FlowParseError naming their row.
+    Bytes that are not UTF-8 raise FlowParseError, which names their row when
+    the stream can seek back to its start; a pipe cannot, and is read once.
     """
     if hasattr(source, "read") and isinstance(source.read(0), bytes):
         try:
             return parse(io.TextIOWrapper(source, encoding="utf-8", newline=""))
         except UnicodeDecodeError:
-            raise FlowParseError(_undecodable_row(source), "not valid UTF-8") from None
+            row_number = _undecodable_row(source) if source.seekable() else None
+            raise FlowParseError(row_number, "not valid UTF-8") from None
     return parse(source)
 
 
@@ -310,7 +319,8 @@ def read_flows(source: IO[bytes] | IO[str] | Iterable[str]) -> CleanResult:
     stream (binary is decoded as UTF-8). Records sharing a key are merged by
     summation: values always sum; a side's volume sums only when every record
     of the key reports it. Raises FlowParseError on a malformed row
-    (including, for a seekable binary stream, bytes that are not UTF-8),
+    (including bytes that are not UTF-8, whose row is named when the stream
+    can seek),
     UnitConflictError on a key whose records disagree on the volume unit and
     OverflowError on a key whose totals exceed the float range.
     """

@@ -55,6 +55,23 @@ def panel_csv(tmp_path):
     return path
 
 
+@pytest.fixture
+def pipe():
+    """Makes a path that reads the given bytes from a pipe, as /dev/stdin does under `cat |`."""
+    ends = []
+
+    def make(data: bytes) -> str:
+        read_end, write_end = os.pipe()
+        ends.append(read_end)
+        os.write(write_end, data)  # a few hundred bytes fit in the pipe's buffer
+        os.close(write_end)
+        return f"/dev/fd/{read_end}"
+
+    yield make
+    for fd in ends:
+        os.close(fd)
+
+
 def run(*args):
     return main([str(a) for a in args])
 
@@ -199,6 +216,31 @@ class TestCompute:
         assert run("compute", "--input", flows_csv, "--group-map", gmap) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: {gmap}: row 3: ") and "field limit" in err
+
+    @pytest.mark.parametrize("command", ["compute", "validate"])
+    def test_pipes_read_as_the_files_do(self, flows_csv, tmp_path, capsys, pipe, command):
+        gmap = tmp_path / "map.csv"
+        gmap.write_text("industry_code,group_id\n000001,G\n000002,G\n")
+
+        def args(table, groups):
+            if command == "validate":
+                return ["--input", table]
+            # The csv report: the json one echoes the paths in its config.
+            return ["--input", table, "--group-map", groups, "--format", "csv"]
+
+        assert run(command, *args(flows_csv, gmap)) == 0
+        from_files = capsys.readouterr()
+        assert run(command, *args(pipe(flows_csv.read_bytes()), pipe(gmap.read_bytes()))) == 0
+        assert capsys.readouterr() == from_files
+
+    @pytest.mark.parametrize("option", ["--input", "--group-map"])
+    def test_invalid_utf8_in_a_pipe_exits_2(self, flows_csv, capsys, pipe, option):
+        if option == "--input":
+            args = ["--input", pipe(f"{HEADER}\n2020,FRA,DEU,\xff,1,1,,,\n".encode("latin-1"))]
+        else:
+            args = ["--input", flows_csv, "--group-map", pipe(b"industry_code,group_id\n1,\xff\n")]
+        assert run("compute", *args) == 2
+        assert capsys.readouterr() == ("", f"error: {args[-1]}: not valid UTF-8\n")
 
     def test_partial_coverage_is_missing_volume(self, tmp_path, capsys):
         path = tmp_path / "partial.csv"
@@ -553,11 +595,11 @@ class TestEntryPoint:
     which switches the cyclic collector off; main() leaves it as it was."""
 
     @staticmethod
-    def run_module(*args, cwd=None):
+    def run_module(*args, cwd=None, input=None):
         src = str(Path(iitkit.__file__).parent.parent)
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         return subprocess.run(
-            [sys.executable, *args], cwd=cwd, capture_output=True,
+            [sys.executable, *args], cwd=cwd, capture_output=True, input=input,
             env={**os.environ, "PYTHONPATH": path},
         )
 
@@ -575,6 +617,13 @@ class TestEntryPoint:
         )
         assert proc.stderr == b""
         assert (proc.returncode, hashlib.sha256(proc.stdout).hexdigest()) == GOLDEN[case]
+
+    def test_stdin_pipe_reads_as_the_file_does(self, flows_csv):
+        # `cat flows.csv | iitkit validate --input /dev/stdin`
+        proc = self.run_module("-m", "iitkit.cli", "validate", "--input", "/dev/stdin",
+                               input=flows_csv.read_bytes())
+        from_file = self.run_module("-m", "iitkit.cli", "validate", "--input", flows_csv)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, from_file.stdout, b"")
 
     def test_entry_point_disables_the_cyclic_collector(self):
         proc = self.run_module("-c", (

@@ -3,6 +3,7 @@ import math
 import pytest
 from hypothesis import example, given, strategies as st
 
+from iitkit import differentiation
 from iitkit.differentiation import (
     Differentiation,
     DifferentiationMethod,
@@ -76,9 +77,13 @@ def reference_report(group, family, alpha, type_method):
 
 @st.composite
 def sweep_cases(draw):
-    """(family, type method, alpha grid, group): ratios on and one float either side
-    of each band edge of the grid, free ratios, and unclassifiable and one-way members."""
-    alphas = sorted(draw(st.lists(st.floats(0.001, 0.999), min_size=1, max_size=5, unique=True)))
+    """(family, type method, alpha grid, group): grids of up to 25 alphas, some one
+    float apart; ratios on and one float either side of each band edge of the grid,
+    free ratios, and unclassifiable and one-way members."""
+    alphas = draw(st.lists(st.floats(0.001, 0.999), min_size=1, max_size=20, unique=True))
+    # Adjacent floats make the bisection of the grid probe neighbouring points.
+    neighbours = draw(st.lists(st.sampled_from(alphas), max_size=5))
+    alphas = sorted({*alphas, *(math.nextafter(a, 1.0) for a in neighbours)})
     edges = [e for a in alphas for e in (1 - a, 1 / (1 + a), 1 + a)]
     near_edge = [r for e in edges for r in (math.nextafter(e, 0.0), e, math.nextafter(e, 2.0))]
     ratio = st.one_of(st.sampled_from(near_edge), st.floats(0.01, 100.0))
@@ -156,6 +161,24 @@ class TestAlphaSweep:
         ] == flips
         for flip in result.flip_points:
             assert flip.label_before in (VH, VL) and flip.label_after is H
+
+    def test_band_tests_bisect_the_grid(self, monkeypatch):
+        calls = 0
+
+        def counting_band(*args):
+            nonlocal calls
+            calls += 1
+            return band(*args)
+
+        band = differentiation._band
+        monkeypatch.setattr(differentiation, "_band", counting_band)
+        # Horizontal from the first alpha, flipping at every grid point, or never.
+        ratios = [0.5 + 0.01 * i for i in range(101)]
+        group = make_group([ratio_flow(r, code=f"{i:06d}") for i, r in enumerate(ratios)])
+        alphas = [k / 40 for k in range(1, 21)]
+        result = alpha_sweep(group, alphas, "ghm", AER)
+        assert {f.alpha for f in result.flip_points} == set(alphas[1:])
+        assert calls <= len(ratios) * (2 + math.ceil(math.log2(len(alphas))))
 
     def test_reports_share_one_details_tuple(self):
         group = make_group([ratio_flow(1.16), make_flow(100, 100, code="000002")])

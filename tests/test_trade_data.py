@@ -7,6 +7,7 @@ from iitkit.trade_data import (
     FlowKey,
     FlowParseError,
     IndustryFlow,
+    IndustryGroup,
     UnitConflictError,
     UnmappedCodeError,
     apply_grouping,
@@ -114,6 +115,23 @@ class TestParseFlowRecords:
         with pytest.raises(FlowParseError) as exc:
             read_flows(io.BytesIO(raw))
         assert (exc.value.row_number, exc.value.reason) == (3, "not valid UTF-8")
+
+    def test_invalid_utf8_in_stream_that_cannot_seek_rejected_without_row(self):
+        raw = f"{HEADER}\n2020,FRA,DEU,1,1,1,,,\n2020,FRA,DEU,\xff,1,1,,,\n".encode("latin-1")
+        with pytest.raises(FlowParseError) as exc:
+            read_flows(_Pipe(raw))
+        assert (exc.value.row_number, str(exc.value)) == (None, "not valid UTF-8")
+        assert read_flows(_Pipe(raw.replace(b"\xff", b"2"))).rows_read == 2
+
+
+class _Pipe(io.BytesIO):
+    """A binary stream that, like a pipe, is read once and cannot seek."""
+
+    def seekable(self):
+        return False
+
+    def seek(self, *args):
+        raise io.UnsupportedOperation("seek")
 
 
 class TestPairAndClean:
@@ -245,6 +263,16 @@ class TestApplyGrouping:
         groups = apply_grouping(flows, {"1": "G1"})
         assert len(groups) == 2
         assert {g.snapshot[0] for g in groups} == {"2020", "2021"}
+
+
+def test_group_total_is_a_left_fold():
+    # sum() compensates float rounding from Python 3.12 and would give
+    # 1.0000000000000002e16 here; each 1.0 added to 1e16 rounds away.
+    members = [
+        IndustryFlow(FlowKey("2020", "FRA", "DEU", code), value, 0.0)
+        for code, value in (("1", 1e16), ("2", 1.0), ("3", 1.0))
+    ]
+    assert IndustryGroup("G", tuple(members)).total_trade == 1e16
 
 
 def test_read_grouping_map():
