@@ -163,14 +163,13 @@ class TestAlphaSweep:
             assert flip.label_before in (VH, VL) and flip.label_after is H
 
     def test_band_tests_bisect_the_grid(self, monkeypatch):
-        calls = 0
+        band, calls = differentiation._band, 0
 
         def counting_band(*args):
             nonlocal calls
             calls += 1
             return band(*args)
 
-        band = differentiation._band
         monkeypatch.setattr(differentiation, "_band", counting_band)
         # Horizontal from the first alpha, flipping at every grid point, or never.
         ratios = [0.5 + 0.01 * i for i in range(101)]
@@ -179,6 +178,9 @@ class TestAlphaSweep:
         result = alpha_sweep(group, alphas, "ghm", AER)
         assert {f.alpha for f in result.flip_points} == set(alphas[1:])
         assert calls <= len(ratios) * (2 + math.ceil(math.log2(len(alphas))))
+        calls = 0  # a single alpha takes one band test per member
+        decompose_shares(group, DifferentiationMethod("ghm", 0.15), AER)
+        assert calls == len(ratios)
 
     def test_reports_share_one_details_tuple(self):
         group = make_group([ratio_flow(1.16), make_flow(100, 100, code="000002")])
