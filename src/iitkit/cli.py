@@ -20,7 +20,7 @@ import shutil
 import sys
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Callable
+from typing import BinaryIO, Callable, TypeVar
 
 from iitkit.differentiation import (
     FAMILIES,
@@ -41,7 +41,6 @@ from iitkit.sensitivity import (
 )
 from iitkit.trade_data import (
     GROUP_POLICIES,
-    CleanResult,
     FlowParseError,
     IndustryGroup,
     UnitConflictError,
@@ -54,6 +53,8 @@ from iitkit.trade_data import (
 EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_DATA = 2
+
+_T = TypeVar("_T")
 
 
 class ConfigError(Exception):
@@ -145,33 +146,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _readable(name: str, what: str) -> Path:
-    """`name` as a Path if it exists and is not a directory: a file, a device or a pipe."""
+def _read(name: str, what: str, parse: Callable[[BinaryIO], _T]) -> _T:
+    """`parse` applied to the file `name` opened "rb", each failure a DataError naming it.
+
+    `name` may be any path that is not a directory: a file, a device or a pipe.
+    """
     path = Path(name)
     if not path.exists() or path.is_dir():
         raise DataError(f"{what} not found: {path}")
-    return path
-
-
-def _read_input(args: argparse.Namespace) -> CleanResult:
-    path = _readable(args.input, "input file")
     try:
         with open(path, "rb") as fh:
-            return read_flows(fh)
+            return parse(fh)
+    except OSError as exc:
+        raise DataError(f"{path}: {exc.strerror or exc}") from exc
     except (FlowParseError, UnitConflictError, OverflowError) as exc:
         raise DataError(f"{path}: {exc}") from exc
 
 
 def _load_groups(args: argparse.Namespace) -> list[IndustryGroup]:
-    cleaned = _read_input(args)
+    cleaned = _read(args.input, "input file", read_flows)
     mapping = None
     if args.group_map is not None:
-        map_path = _readable(args.group_map, "grouping file")
-        try:
-            with open(map_path, "rb") as fh:
-                mapping = read_grouping_map(fh)
-        except FlowParseError as exc:
-            raise DataError(f"{map_path}: {exc}") from exc
+        mapping = _read(args.group_map, "grouping file", read_grouping_map)
     try:
         return apply_grouping(cleaned.flows, mapping, args.group_policy)
     except UnmappedCodeError as exc:
@@ -343,7 +339,7 @@ def _run_transitions(args: argparse.Namespace) -> int:
 
 
 def _run_validate(args: argparse.Namespace) -> int:
-    cleaned = _read_input(args)
+    cleaned = _read(args.input, "input file", read_flows)
     # The reports also form each key's unit-value ratio and sum each group's
     # trade. A group's members are a subsequence of its snapshot's flows, and
     # float sums of nonnegative values only grow along a sequence, so a finite

@@ -4,6 +4,11 @@ Input tables are UTF-8 comma-separated files with the mandatory header
 
     period,reporter,partner,industry_code,export_value,import_value,export_qty,import_qty,qty_unit
 
+Lines end at LF, CRLF or a bare CR. A binary stream is decoded one line at
+a time, as the csv reader asks for it, so the first fault in row order is
+the one reported, whether it is a bad value or a byte that is not UTF-8.
+The caller's stream is never closed or seeked.
+
 Empty quantity/unit cells mean "not reported". Records sharing a
 (period, reporter, partner, industry_code) key are merged by summation;
 industries with zero trade on both sides are dropped at ingestion so that
@@ -13,11 +18,9 @@ every downstream ratio has a positive denominator.
 from __future__ import annotations
 
 import csv
-import io
 import math
-import re
 from dataclasses import dataclass
-from typing import IO, Callable, Iterable, Iterator, NamedTuple, TypeVar
+from typing import IO, Iterable, Iterator, NamedTuple
 
 EXPECTED_HEADER = (
     "period",
@@ -33,14 +36,15 @@ EXPECTED_HEADER = (
 
 GROUP_POLICIES = ("own-code", "strict", "drop")
 
-_T = TypeVar("_T")
-
 
 class FlowParseError(ValueError):
-    """A malformed input row; carries the 1-based row number, or None if unknown, and a reason."""
+    """A malformed input row: its 1-based number, counting the header as row 1, and a reason.
 
-    def __init__(self, row_number: int | None, reason: str):
-        super().__init__(reason if row_number is None else f"row {row_number}: {reason}")
+    A row is a CSV record, so a quoted field that spans lines is one row.
+    """
+
+    def __init__(self, row_number: int, reason: str):
+        super().__init__(f"row {row_number}: {reason}")
         self.row_number = row_number
         self.reason = reason
 
@@ -134,9 +138,6 @@ class CleanResult:
     rows_read: int
 
 
-# What errors="surrogateescape" decodes each byte that is not UTF-8 to.
-_SURROGATE = re.compile("[\udc80-\udcff]")
-
 # One validated row, ready to merge: (key, X, M, x, m, unit).
 _Row = tuple[tuple[str, str, str, str], float, float, float | None, float | None, str | None]
 
@@ -161,90 +162,99 @@ def _parse_optional_value(cell: str, column: str, row_number: int) -> float | No
     return _parse_value(cell, column, row_number)
 
 
-def _validated_rows(source: IO[str] | Iterable[str]) -> Iterator[_Row]:
-    """Check the header, then validate each data row and yield it as a plain tuple.
+def _lines(binary: IO[bytes]) -> Iterator[str]:
+    """The lines of `binary`, each decoded as UTF-8 only when it is asked for.
+
+    Lines end as a text stream opened with newline="" ends them, and keep
+    their ending. Each read takes at least as many bytes as the partial line
+    carried over, so a long line costs time linear in its length.
+    """
+    rest = b""
+    while block := binary.read(max(len(rest), 1 << 16)):
+        lines = (rest + block).splitlines(keepends=True)
+        rest = lines.pop()
+        yield from map(bytes.decode, lines)
+    if rest:
+        yield rest.decode()
+
+
+def _table(
+    source: IO[bytes] | IO[str] | Iterable[str], header: tuple[str, ...]
+) -> Iterator[tuple[int, list[str]]]:
+    """Check a CSV table's header, then yield (row number, fields) for each non-blank row.
+
+    `source` is a binary stream, decoded by `_lines`, or text. Rows count
+    from 1 at the header. Raises FlowParseError naming the row at fault: a
+    missing or wrong header, a wrong number of fields, a record the csv
+    module rejects (a field past its size limit) or bytes that are not UTF-8.
+    """
+    if hasattr(source, "read") and isinstance(source.read(0), bytes):
+        source = _lines(source)
+    reader = csv.reader(source)
+    row_number = 0
+    try:
+        names = next(reader, None)
+        if names is None:
+            raise FlowParseError(1, "empty input, header row missing")
+        if tuple(name.strip() for name in names) != header:
+            raise FlowParseError(1, f"bad header {names!r}, expected {','.join(header)}")
+        row_number, width = 1, len(header)
+        for row_number, row in enumerate(reader, start=2):
+            if not row:
+                continue  # tolerate a trailing blank line
+            if len(row) != width:
+                raise FlowParseError(row_number, f"expected {width} fields, got {len(row)}")
+            yield row_number, row
+    except (csv.Error, UnicodeDecodeError) as exc:  # raised reading the record after row_number
+        reason = str(exc) if isinstance(exc, csv.Error) else "not valid UTF-8"
+        raise FlowParseError(row_number + 1, reason) from None
+
+
+def _validated_rows(source: IO[bytes] | IO[str] | Iterable[str]) -> Iterator[_Row]:
+    """Validate each data row of a flow table and yield it as a plain tuple.
 
     Raises FlowParseError with the offending 1-based row number on any
     malformed row.
     """
-    reader = csv.reader(source)
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise FlowParseError(1, "empty input, header row missing") from None
-    except csv.Error as exc:  # e.g. a field past the csv module's size limit
-        raise FlowParseError(1, str(exc)) from None
-    if tuple(h.strip() for h in header) != EXPECTED_HEADER:
-        raise FlowParseError(
-            1, f"bad header {header!r}, expected {','.join(EXPECTED_HEADER)}"
-        )
-
     inf = math.inf
-    row_number = 1
-    try:
-        for row_number, row in enumerate(reader, start=2):
-            if not row:
-                continue  # tolerate a trailing blank line
-            if len(row) != 9:
-                raise FlowParseError(row_number, f"expected 9 fields, got {len(row)}")
-            period, reporter, partner, code, xv, mv, xq, mq, unit = row
-            try:
-                # Fast path: `not 0 <= v < inf` catches negatives, NaN and
-                # infinities. The slow path re-parses field by field so the error
-                # names the offending column.
-                export_value = float(xv)
-                import_value = float(mv)
-                export_volume = float(xq) if xq else None
-                import_volume = float(mq) if mq else None
-                ok = (
-                    0 <= export_value < inf
-                    and 0 <= import_value < inf
-                    and (export_volume is None or 0 <= export_volume < inf)
-                    and (import_volume is None or 0 <= import_volume < inf)
-                )
-            except ValueError:
-                ok = False
-            if not ok:
-                _parse_value(xv, "export_value", row_number)
-                _parse_value(mv, "import_value", row_number)
-                _parse_optional_value(xq, "export_qty", row_number)
-                _parse_optional_value(mq, "import_qty", row_number)
-                raise FlowParseError(row_number, f"unparseable row {row!r}")
-            if not (period and reporter and partner and code):
-                raise FlowParseError(row_number, "empty key field")
-            if not unit:
-                if export_volume is not None or import_volume is not None:
-                    raise FlowParseError(row_number, "quantity present without qty_unit")
-                unit = None
-            yield (
-                (period, reporter, partner, code),
-                export_value,
-                import_value,
-                export_volume,
-                import_volume,
-                unit,
+    for row_number, row in _table(source, EXPECTED_HEADER):
+        period, reporter, partner, code, xv, mv, xq, mq, unit = row
+        try:
+            # Fast path: `not 0 <= v < inf` catches negatives, NaN and
+            # infinities. The slow path re-parses field by field so the error
+            # names the offending column.
+            export_value = float(xv)
+            import_value = float(mv)
+            export_volume = float(xq) if xq else None
+            import_volume = float(mq) if mq else None
+            ok = (
+                0 <= export_value < inf
+                and 0 <= import_value < inf
+                and (export_volume is None or 0 <= export_volume < inf)
+                and (import_volume is None or 0 <= import_volume < inf)
             )
-    except csv.Error as exc:  # raised while reading the record after row_number
-        raise FlowParseError(row_number + 1, str(exc)) from None
-
-
-def _undecodable_row(binary: IO[bytes]) -> int:
-    """Row number of the first record of `binary` holding bytes that are not UTF-8.
-
-    For the error path only: the decoder reads ahead of the csv reader, so
-    the stream is parsed again from its start, each bad byte kept as a lone
-    surrogate, which valid UTF-8 never decodes to.
-    """
-    binary.seek(0)
-    text = io.TextIOWrapper(binary, encoding="utf-8", errors="surrogateescape", newline="")
-    row_number = 0
-    try:
-        for row_number, row in enumerate(csv.reader(text), start=1):
-            if _SURROGATE.search("".join(row)):
-                break
-    except csv.Error:  # a record too long to read; decoding stopped inside or just past it
-        row_number += 1
-    return row_number
+        except ValueError:
+            ok = False
+        if not ok:
+            _parse_value(xv, "export_value", row_number)
+            _parse_value(mv, "import_value", row_number)
+            _parse_optional_value(xq, "export_qty", row_number)
+            _parse_optional_value(mq, "import_qty", row_number)
+            raise FlowParseError(row_number, f"unparseable row {row!r}")
+        if not (period and reporter and partner and code):
+            raise FlowParseError(row_number, "empty key field")
+        if not unit:
+            if export_volume is not None or import_volume is not None:
+                raise FlowParseError(row_number, "quantity present without qty_unit")
+            unit = None
+        yield (
+            (period, reporter, partner, code),
+            export_value,
+            import_value,
+            export_volume,
+            import_volume,
+            unit,
+        )
 
 
 def _merge(rows: Iterable[_Row]) -> CleanResult:
@@ -295,36 +305,18 @@ def _merge(rows: Iterable[_Row]) -> CleanResult:
     return CleanResult(tuple(flows), dropped, rows_read)
 
 
-def _read_csv(
-    source: IO[bytes] | IO[str] | Iterable[str], parse: Callable[[Iterable[str]], _T]
-) -> _T:
-    """`parse(source)`, with a binary stream decoded as UTF-8 first.
-
-    Bytes that are not UTF-8 raise FlowParseError, which names their row when
-    the stream can seek back to its start; a pipe cannot, and is read once.
-    """
-    if hasattr(source, "read") and isinstance(source.read(0), bytes):
-        try:
-            return parse(io.TextIOWrapper(source, encoding="utf-8", newline=""))
-        except UnicodeDecodeError:
-            row_number = _undecodable_row(source) if source.seekable() else None
-            raise FlowParseError(row_number, "not valid UTF-8") from None
-    return parse(source)
-
-
 def read_flows(source: IO[bytes] | IO[str] | Iterable[str]) -> CleanResult:
     """Parse, validate and merge a trade table in one pass.
 
-    This is the one ingestion entry point. `source` is a binary or text
-    stream (binary is decoded as UTF-8). Records sharing a key are merged by
-    summation: values always sum; a side's volume sums only when every record
-    of the key reports it. Raises FlowParseError on a malformed row
-    (including bytes that are not UTF-8, whose row is named when the stream
-    can seek),
-    UnitConflictError on a key whose records disagree on the volume unit and
-    OverflowError on a key whose totals exceed the float range.
+    This is the one ingestion entry point. `source` is a binary stream,
+    decoded as UTF-8, or text; it is left open. Records sharing a key are
+    merged by summation: values always sum; a side's volume sums only when
+    every record of the key reports it. Raises FlowParseError on the first
+    malformed row (bytes that are not UTF-8 included), UnitConflictError on
+    a key whose records disagree on the volume unit and OverflowError on a
+    key whose totals exceed the float range.
     """
-    return _read_csv(source, lambda text: _merge(_validated_rows(text)))
+    return _merge(_validated_rows(source))
 
 
 def apply_grouping(
@@ -367,31 +359,13 @@ def apply_grouping(
 def read_grouping_map(source: IO[bytes] | IO[str] | Iterable[str]) -> dict[str, str]:
     """Read a two-column industry_code,group_id CSV (with header) into a dict.
 
-    `source` is decoded as read_flows decodes it. Raises FlowParseError on a
+    `source` is read as read_flows reads it. Raises FlowParseError on a
     malformed row, bytes that are not UTF-8 included.
     """
-    return _read_csv(source, _grouping_map)
-
-
-def _grouping_map(source: Iterable[str]) -> dict[str, str]:
-    reader = csv.reader(source)
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise FlowParseError(1, "empty grouping file") from None
-    except csv.Error as exc:
-        raise FlowParseError(1, str(exc)) from None
-    if [h.strip() for h in header] != ["industry_code", "group_id"]:
-        raise FlowParseError(1, f"bad grouping header {header!r}")
     mapping: dict[str, str] = {}
-    row_number = 1
-    try:
-        for row_number, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 2 or not row[0] or not row[1]:
-                raise FlowParseError(row_number, f"bad grouping row {row!r}")
-            mapping[row[0]] = row[1]
-    except csv.Error as exc:  # raised while reading the record after row_number
-        raise FlowParseError(row_number + 1, str(exc)) from None
+    for row_number, row in _table(source, ("industry_code", "group_id")):
+        code, group_id = row
+        if not (code and group_id):
+            raise FlowParseError(row_number, f"bad grouping row {row!r}")
+        mapping[code] = group_id
     return mapping

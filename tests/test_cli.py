@@ -234,13 +234,24 @@ class TestCompute:
         assert capsys.readouterr() == from_files
 
     @pytest.mark.parametrize("option", ["--input", "--group-map"])
-    def test_invalid_utf8_in_a_pipe_exits_2(self, flows_csv, capsys, pipe, option):
+    def test_invalid_utf8_in_a_pipe_exits_2_with_row_number(self, flows_csv, capsys, pipe, option):
         if option == "--input":
             args = ["--input", pipe(f"{HEADER}\n2020,FRA,DEU,\xff,1,1,,,\n".encode("latin-1"))]
         else:
             args = ["--input", flows_csv, "--group-map", pipe(b"industry_code,group_id\n1,\xff\n")]
         assert run("compute", *args) == 2
-        assert capsys.readouterr() == ("", f"error: {args[-1]}: not valid UTF-8\n")
+        assert capsys.readouterr() == ("", f"error: {args[-1]}: row 2: not valid UTF-8\n")
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="needs Linux's /proc/self/mem")
+    @pytest.mark.parametrize("option", ["--input", "--group-map"])
+    def test_read_error_exits_2(self, flows_csv, capsys, option):
+        # /proc/self/mem opens, but reading it at offset 0 fails with EIO.
+        if option == "--input":
+            args = ["--input", "/proc/self/mem"]
+        else:
+            args = ["--input", flows_csv, "--group-map", "/proc/self/mem"]
+        assert run("compute", *args) == 2
+        assert capsys.readouterr() == ("", "error: /proc/self/mem: Input/output error\n")
 
     def test_partial_coverage_is_missing_volume(self, tmp_path, capsys):
         path = tmp_path / "partial.csv"

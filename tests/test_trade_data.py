@@ -1,7 +1,9 @@
+import csv
+import gc
 import io
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from iitkit.trade_data import (
     FlowKey,
@@ -10,6 +12,7 @@ from iitkit.trade_data import (
     IndustryGroup,
     UnitConflictError,
     UnmappedCodeError,
+    _table,
     apply_grouping,
     read_flows,
     read_grouping_map,
@@ -116,12 +119,34 @@ class TestParseFlowRecords:
             read_flows(io.BytesIO(raw))
         assert (exc.value.row_number, exc.value.reason) == (3, "not valid UTF-8")
 
-    def test_invalid_utf8_in_stream_that_cannot_seek_rejected_without_row(self):
+    def test_invalid_utf8_in_stream_that_cannot_seek_rejected_with_row_number(self):
         raw = f"{HEADER}\n2020,FRA,DEU,1,1,1,,,\n2020,FRA,DEU,\xff,1,1,,,\n".encode("latin-1")
         with pytest.raises(FlowParseError) as exc:
             read_flows(_Pipe(raw))
-        assert (exc.value.row_number, str(exc.value)) == (None, "not valid UTF-8")
+        assert (exc.value.row_number, str(exc.value)) == (3, "row 3: not valid UTF-8")
         assert read_flows(_Pipe(raw.replace(b"\xff", b"2"))).rows_read == 2
+
+    @pytest.mark.parametrize("good_rows", [5, 3000])
+    def test_first_fault_in_row_order_is_reported(self, good_rows):
+        # Row 2 holds a bad value and a later row a bad byte, near or far.
+        raw = (
+            f"{HEADER}\n2020,FRA,DEU,1,x,1,,,\n".encode()
+            + b"2020,FRA,DEU,1,1,1,,,\n" * good_rows
+            + b"2020,FRA,DEU,\xff,1,1,,,\n"
+        )
+        with pytest.raises(FlowParseError) as exc:
+            read_flows(io.BytesIO(raw))
+        assert str(exc.value) == "row 2: export_value 'x' is not a number"
+
+    def test_long_line_read_in_growing_blocks(self):
+        # A 32 MiB unterminated quote: reads of a fixed size would copy the
+        # carried-over line once per read, in time quadratic in its length.
+        stream = _CountingReads(f'{HEADER}\n2020,FRA,DEU,"'.encode() + b"x" * (32 << 20))
+        with pytest.raises(FlowParseError) as exc:
+            read_flows(stream)
+        assert exc.value.row_number == 2
+        assert "field limit" in exc.value.reason
+        assert stream.reads <= 20
 
 
 class _Pipe(io.BytesIO):
@@ -132,6 +157,16 @@ class _Pipe(io.BytesIO):
 
     def seek(self, *args):
         raise io.UnsupportedOperation("seek")
+
+
+class _CountingReads(io.BytesIO):
+    """A binary stream that counts the calls to its read()."""
+
+    reads = 0
+
+    def read(self, size=-1):
+        self.reads += 1
+        return super().read(size)
 
 
 class TestPairAndClean:
@@ -295,3 +330,62 @@ def test_grouping_map_bytes_decoded_and_invalid_utf8_rejected_with_row_number():
     with pytest.raises(FlowParseError) as exc:
         read_grouping_map(io.BytesIO(b"industry_code,group_id\n1,G1\n2,\xff\n"))
     assert (exc.value.row_number, exc.value.reason) == (3, "not valid UTF-8")
+
+
+@pytest.mark.parametrize("read, raw", [
+    (read_flows, f"{HEADER}\n2020,FRA,DEU,1,1,1,,,\n".encode()),
+    (read_flows, f"{HEADER}\n2020,FRA,DEU,\xff,1,1,,,\n".encode("latin-1")),
+    (read_grouping_map, b"industry_code,group_id\n1,G1\n"),
+])
+def test_caller_stream_left_open(read, raw):
+    stream = io.BytesIO(raw)
+    try:
+        read(stream)
+    except FlowParseError:
+        pass
+    gc.collect()
+    assert not stream.closed
+
+
+# Cells with commas, quotes, line breaks and characters of 2, 3 and 4 UTF-8 bytes.
+_CELLS = st.text(st.sampled_from('a ,"\r\né€𝄞'), max_size=6)
+
+
+def _csv_line(cells: list[str], ending: str) -> str:
+    quoted = [
+        '"' + cell.replace('"', '""') + '"' if any(c in cell for c in ',"\r\n') else cell
+        for cell in cells
+    ]
+    return ",".join(quoted) + ending
+
+
+@st.composite
+def _byte_tables(draw) -> bytes:
+    """A CSV table with mixed line endings, some over 64 KiB.
+
+    In those, a first data row of padding puts the 64 KiB block edge a few
+    bytes before or after its end, among the short rows that follow.
+    """
+    width = draw(st.integers(1, 3))
+    header = [f"c{i}" for i in range(width)]
+    endings = st.sampled_from(["\n", "\r\n", "\r"])
+    text = _csv_line(header, draw(endings))
+    shift = draw(st.one_of(st.none(), st.integers(-8, 48)))
+    if shift is not None:
+        pad = (1 << 16) - shift - len(text) - width
+        text += _csv_line(["p" * pad] + [""] * (width - 1), draw(endings))
+    rows = draw(st.lists(st.lists(_CELLS, min_size=width, max_size=width), max_size=12))
+    for cells in rows:
+        text += _csv_line(cells, draw(endings))
+    return text.encode()
+
+
+@given(_byte_tables())
+@settings(max_examples=200)
+def test_table_rows_match_a_text_stream(raw):
+    with io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8", newline="") as text:
+        reference = list(enumerate(csv.reader(text), start=1))
+    header = tuple(reference[0][1])
+    assert list(_table(io.BytesIO(raw), header)) == [
+        (row_number, row) for row_number, row in reference[1:] if row
+    ]
