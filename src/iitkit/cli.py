@@ -26,18 +26,20 @@ from iitkit.differentiation import (
     FAMILIES,
     DifferentiationMethod,
     Rows,
+    _CsvTable,
+    _shares_table,
     _unit_values,
+    _write_csv,
     decompose_shares,
-    reports_to_csv,
 )
 from iitkit.indices import TradeTypeMethod, check_fraction
 from iitkit.sensitivity import (
     DEFAULT_ALPHA_GRID,
+    _flips_table,
+    _transitions_table,
     _validate_alphas,
     alpha_sweep,
     nature_transitions,
-    sweep_flips_to_csv,
-    transitions_to_csv,
 )
 from iitkit.trade_data import (
     GROUP_POLICIES,
@@ -49,6 +51,11 @@ from iitkit.trade_data import (
     read_flows,
     read_grouping_map,
 )
+
+# The CSV reports as one str each. The CLI streams its CSV instead and does not
+# call these, but perfbench/tracer.py wraps them by their names on this module.
+from iitkit.differentiation import reports_to_csv  # noqa: F401
+from iitkit.sensitivity import sweep_flips_to_csv, transitions_to_csv  # noqa: F401
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -250,19 +257,21 @@ def _write_json(write: Callable[[str], object], value, depth: int) -> None:
 
 
 def _write_report(
-    args: argparse.Namespace, key: str, records: list, to_csv: Callable[[list], str], **extra
+    args: argparse.Namespace, key: str, records: list, csv_table: Callable[[list], _CsvTable],
+    **extra,
 ) -> int:
-    """Write the records as `to_csv(records)` or as a JSON document holding them under `key`.
+    """Write the records as the CSV table `csv_table(records)` or as JSON under `key`.
 
-    The JSON document starts with the run's config, extended by `extra`, and
-    is written a piece at a time, with the bytes json.dump(indent=2) gives.
+    Either is written a piece at a time: CSV a row at a time, with the bytes
+    the library's `*_to_csv` gives; JSON starting with the run's config,
+    extended by `extra`, with the bytes json.dump(indent=2) gives.
     With --output naming a file, the report goes to a temporary file beside
     it, which replaces it only once the report is complete.
     """
 
     def write(fh) -> None:
         if args.format == "csv":
-            fh.write(to_csv(records))
+            _write_csv(fh, *csv_table(records))
             return
         options = vars(args)
         config = {**{k: options[k] for k in _CONFIG_KEYS if k in options}, **extra}
@@ -303,14 +312,14 @@ def _run_compute(args: argparse.Namespace) -> int:
     method = DifferentiationMethod(args.family, args.alpha)
     type_method = _type_method(args)
     reports = [decompose_shares(g, method, type_method) for g in groups]
-    return _write_report(args, "reports", reports, reports_to_csv)
+    return _write_report(args, "reports", reports, _shares_table)
 
 
 def _run_sweep(args: argparse.Namespace) -> int:
     groups = _load_groups(args)
     type_method = _type_method(args)
     sweeps = [alpha_sweep(g, args.alphas, args.family, type_method) for g in groups]
-    return _write_report(args, "sweeps", sweeps, sweep_flips_to_csv)
+    return _write_report(args, "sweeps", sweeps, _flips_table)
 
 
 def _run_transitions(args: argparse.Namespace) -> int:
@@ -333,7 +342,7 @@ def _run_transitions(args: argparse.Namespace) -> int:
         if len(series) > 1
     ]
     return _write_report(
-        args, "panels", reports, transitions_to_csv,
+        args, "panels", reports, _transitions_table,
         single_period_panels_skipped=len(panels) - len(reports),
     )
 

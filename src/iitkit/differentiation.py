@@ -17,7 +17,7 @@ import io
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, NamedTuple, Sequence
+from typing import IO, Iterable, Iterator, NamedTuple, Sequence
 
 from iitkit.indices import TradeType, TradeTypeMethod, check_fraction, classify_trade_type
 from iitkit.trade_data import FlowKey, IndustryFlow, IndustryGroup
@@ -249,18 +249,32 @@ class SharesReport:
         return _plain(self)
 
 
-def _csv_text(header: Sequence[str], rows: Iterable[Sequence]) -> str:
-    """CSV text: the header line, then one line per row, each ended by a bare newline."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
+# A CSV report before it is written: its header and its rows.
+_CsvTable = tuple[tuple[str, ...], Iterator[tuple]]
+
+
+def _write_csv(fh: IO[str], header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """Write the header, then each row, one `fh.write` per line, each ended by a bare newline."""
+    writer = csv.writer(fh, lineterminator="\n")
     writer.writerow(header)
     writer.writerows(rows)
+
+
+def _csv_text(header: Sequence[str], rows: Iterable[Sequence]) -> str:
+    """The text `_write_csv` writes."""
+    buf = io.StringIO()
+    _write_csv(buf, header, rows)
     return buf.getvalue()
+
+
+def _shares_table(reports: Iterable[SharesReport]) -> _CsvTable:
+    """The header and rows of `reports_to_csv`."""
+    return SharesReport.FIELDS, (r.values() for r in reports)
 
 
 def reports_to_csv(reports: list[SharesReport]) -> str:
     """Flat CSV with one row per (group, method combination)."""
-    return _csv_text(SharesReport.FIELDS, (r.values() for r in reports))
+    return _csv_text(*_shares_table(reports))
 
 
 def decompose_shares(

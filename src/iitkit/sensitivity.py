@@ -22,6 +22,7 @@ from iitkit.differentiation import (
     DifferentiationMethod,
     Rows,
     SharesReport,
+    _CsvTable,
     _csv_text,
     _decompose,
     _plain,
@@ -242,17 +243,27 @@ def nature_transitions(
     )
 
 
-def sweep_flips_to_csv(sweeps: list[SweepResult]) -> str:
-    """Flip table CSV: one row per (industry, alpha boundary)."""
-    return _csv_text(
+def _flips_table(sweeps: Iterable[SweepResult]) -> _CsvTable:
+    """The header and rows of `sweep_flips_to_csv`."""
+    return (
         ("group_id", *FlipPoint.FIELDS),
         ((s.group_id, *f.values()) for s in sweeps for f in s.flip_points),
     )
 
 
-def transitions_to_csv(reports: list[TransitionReport]) -> str:
-    """Transition table CSV: one row per (industry, period boundary)."""
-    return _csv_text(
+def sweep_flips_to_csv(sweeps: list[SweepResult]) -> str:
+    """Flip table CSV: one row per (industry, alpha boundary)."""
+    return _csv_text(*_flips_table(sweeps))
+
+
+def _transitions_table(reports: Iterable[TransitionReport]) -> _CsvTable:
+    """The header and rows of `transitions_to_csv`."""
+    return (
         ("group_id", *Transition.FIELDS),
         ((r.group_id, *t.values()) for r in reports for t in r.transitions),
     )
+
+
+def transitions_to_csv(reports: list[TransitionReport]) -> str:
+    """Transition table CSV: one row per (industry, period boundary)."""
+    return _csv_text(*_transitions_table(reports))

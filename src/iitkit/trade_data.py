@@ -4,10 +4,11 @@ Input tables are UTF-8 comma-separated files with the mandatory header
 
     period,reporter,partner,industry_code,export_value,import_value,export_qty,import_qty,qty_unit
 
-Lines end at LF, CRLF or a bare CR. A binary stream is decoded one line at
-a time, as the csv reader asks for it, so the first fault in row order is
-the one reported, whether it is a bad value or a byte that is not UTF-8.
-The caller's stream is never closed or seeked.
+Lines end at LF, CRLF or a bare CR, and a byte-order mark at the very start
+is ignored. A binary stream is decoded one line at a time, as the csv reader
+asks for it, so the first fault in row order is the one reported, whether it
+is a bad value or a byte that is not UTF-8. The caller's stream is never
+closed or seeked.
 
 Empty quantity/unit cells mean "not reported". Records sharing a
 (period, reporter, partner, industry_code) key are merged by summation;
@@ -20,6 +21,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import IO, Iterable, Iterator, NamedTuple
 
 EXPECTED_HEADER = (
@@ -183,19 +185,23 @@ def _table(
 ) -> Iterator[tuple[int, list[str]]]:
     """Check a CSV table's header, then yield (row number, fields) for each non-blank row.
 
-    `source` is a binary stream, decoded by `_lines`, or text. Rows count
-    from 1 at the header. Raises FlowParseError naming the row at fault: a
-    missing or wrong header, a wrong number of fields, a record the csv
-    module rejects (a field past its size limit) or bytes that are not UTF-8.
+    `source` is a binary stream, decoded by `_lines`, or text. One U+FEFF
+    (the byte-order mark of "CSV UTF-8" exports) at the very start is
+    dropped; anywhere else it is data. Rows count from 1 at the header.
+    Raises FlowParseError naming the row at fault: a missing or wrong
+    header, a wrong number of fields, a record the csv module rejects (a
+    field past its size limit) or bytes that are not UTF-8.
     """
     if hasattr(source, "read") and isinstance(source.read(0), bytes):
         source = _lines(source)
-    reader = csv.reader(source)
+    lines = iter(source)
     row_number = 0
     try:
-        names = next(reader, None)
-        if names is None:
+        first = next(lines, None)
+        if first is None:
             raise FlowParseError(1, "empty input, header row missing")
+        reader = csv.reader(chain((first.removeprefix("\ufeff"),), lines))
+        names = next(reader)
         if tuple(name.strip() for name in names) != header:
             raise FlowParseError(1, f"bad header {names!r}, expected {','.join(header)}")
         row_number, width = 1, len(header)
@@ -266,23 +272,34 @@ def _merge(rows: Iterable[_Row]) -> CleanResult:
     it is None, since summing values over all rows but quantities over some
     would bias the unit value. Raises OverflowError on a key whose trade or
     volume total leaves the float range.
+
+    The csv reader makes a new string per cell; equal key fields and units
+    are shared through a table private to the call. Not sys.intern: its
+    strings are global, and never freed on some Python versions.
     """
-    # key -> [X, M, x, m, unit]
-    acc: dict[tuple[str, str, str, str], list] = {}
+    # FlowKey -> [X, M, x, m, unit]; a plain-tuple key finds its FlowKey, as they compare equal.
+    acc: dict[FlowKey, list] = {}
     get = acc.get
+    share, new_key = {}.setdefault, tuple.__new__
     rows_read = 0
     for key, xv, mv, xq, mq, unit in rows:
         rows_read += 1
         slot = get(key)
         if slot is None:
-            acc[key] = [xv, mv, xq, mq, unit]
+            # tuple.__new__ builds the FlowKey without its __new__, which is Python code.
+            period, reporter, partner, code = key
+            key = new_key(FlowKey, (
+                share(period, period), share(reporter, reporter),
+                share(partner, partner), share(code, code),
+            ))
+            acc[key] = [xv, mv, xq, mq, share(unit, unit)]
             continue
         slot[0] += xv
         slot[1] += mv
         if unit is not None and slot[4] is not None and unit != slot[4]:
             raise UnitConflictError(FlowKey(*key), (slot[4], unit))
         if slot[4] is None:
-            slot[4] = unit
+            slot[4] = share(unit, unit)
         if xq is None or slot[2] is None:
             slot[2] = None
         else:
@@ -294,14 +311,18 @@ def _merge(rows: Iterable[_Row]) -> CleanResult:
 
     flows: list[IndustryFlow] = []
     dropped = 0
-    for key, (xv, mv, xq, mq, unit) in acc.items():
+    for key, slot in acc.items():
+        xv, mv, xq, mq, unit = slot
+        slot.clear()  # the flow below holds the values; the list need not
         if xv == 0 and mv == 0:
             dropped += 1
             continue
         # Every row is finite and nonnegative, so a sum that overflowed is inf.
         if xv + mv == math.inf or xq == math.inf or mq == math.inf:
-            raise OverflowError(f"trade or volume total of key {key} exceeds the float range")
-        flows.append(IndustryFlow(FlowKey(*key), xv, mv, xq, mq, unit))
+            raise OverflowError(
+                f"trade or volume total of key {tuple(key)} exceeds the float range"
+            )
+        flows.append(IndustryFlow(key, xv, mv, xq, mq, unit))
     return CleanResult(tuple(flows), dropped, rows_read)
 
 
@@ -315,6 +336,10 @@ def read_flows(source: IO[bytes] | IO[str] | Iterable[str]) -> CleanResult:
     malformed row (bytes that are not UTF-8 included), UnitConflictError on
     a key whose records disagree on the volume unit and OverflowError on a
     key whose totals exceed the float range.
+
+    Equal strings among the key fields and units of the flows are one shared
+    object, so a flow costs its numbers and its key, not copies of the few
+    distinct periods, reporters, partners, codes and units.
     """
     return _merge(_validated_rows(source))
 

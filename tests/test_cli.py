@@ -571,6 +571,39 @@ GOLDEN_VALIDATE = {
 }
 
 
+class TestByteOrderMark:
+    """A table saved as "CSV UTF-8" starts with EF BB BF and reads as the plain copy."""
+
+    @pytest.fixture
+    def copies(self, tmp_path) -> list[Path]:
+        """Directories holding flows.csv and groups.csv, plain and each with a BOM."""
+        table = example_flows_path().read_bytes()
+        groups = b"industry_code,group_id\n000001,G\n000002,G\n"
+        dirs = []
+        for name, table_bom, groups_bom in (
+            ("plain", b"", b""), ("table", b"\xef\xbb\xbf", b""), ("groups", b"", b"\xef\xbb\xbf"),
+        ):
+            (tmp_path / name).mkdir()
+            (tmp_path / name / "flows.csv").write_bytes(table_bom + table)
+            (tmp_path / name / "groups.csv").write_bytes(groups_bom + groups)
+            dirs.append(tmp_path / name)
+        return dirs
+
+    @pytest.mark.parametrize("args", [
+        ["validate", "--input", "flows.csv"],
+        ["compute", "--input", "flows.csv", "--format", "csv"],
+        ["compute", "--input", "flows.csv", "--group-map", "groups.csv"],
+    ])
+    def test_same_output_as_the_plain_copy(self, copies, args, capsys, monkeypatch):
+        outputs = []
+        for directory in copies:
+            monkeypatch.chdir(directory)  # the JSON config echoes the relative paths
+            assert main(args) == 0
+            outputs.append(capsys.readouterr())
+        assert outputs[0].err == ""
+        assert outputs[1:] == outputs[:1] * 2
+
+
 class TestGoldenOutput:
     """Byte-identical stdout on the bundled datasets.
 

@@ -1,6 +1,8 @@
 import csv
 import gc
 import io
+import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -189,6 +191,11 @@ class TestPairAndClean:
         with pytest.raises(UnitConflictError) as exc:
             parse(f"{HEADER}\n2020,FRA,DEU,1,5,0,10,,kg\n2020,FRA,DEU,1,0,5,,10,unit\n")
         assert exc.value.key == FlowKey("2020", "FRA", "DEU", "1")
+        assert type(exc.value.key) is FlowKey
+        assert exc.value.units == ("kg", "unit")
+        assert str(exc.value) == (
+            "conflicting volume units 'kg' vs 'unit' for key ('2020', 'FRA', 'DEU', '1')"
+        )
 
     def test_partial_quantity_coverage_gives_no_volume(self):
         # Values sum over both rows; a volume summed over the first alone would
@@ -207,8 +214,11 @@ class TestPairAndClean:
         ],
     )
     def test_total_beyond_float_range_rejected(self, rows):
-        with pytest.raises(OverflowError, match=r"key \('2020', 'FRA', 'DEU', '1'\)"):
+        with pytest.raises(OverflowError) as exc:
             parse(f"{HEADER}\n{rows}")
+        assert str(exc.value) == (
+            "trade or volume total of key ('2020', 'FRA', 'DEU', '1') exceeds the float range"
+        )
 
     def test_volumes_merge_when_units_agree(self):
         (flow,) = parse(
@@ -258,6 +268,57 @@ class TestReadFlows:
         assert (one.export_volume, one.import_volume, one.volume_unit) == (None, None, "kg")
         assert result.dropped_zero_trade == 1
         assert result.rows_read == 5
+
+
+def _panel_table(codes: int) -> bytes:
+    """8 periods x 3 reporters x 4 partners x `codes` industries, 2% of keys absent.
+
+    About 5% of rows carry no quantities and so no unit.
+    """
+    rng = random.Random(1)
+    lines = [HEADER + "\n"]
+    for reporter in ("DEU", "FRA", "ITA"):
+        for partner in ("CHN", "GBR", "JPN", "USA"):
+            for code in range(codes):
+                for period in range(2016, 2024):
+                    roll = rng.random()
+                    if roll < 0.02:
+                        continue
+                    values = f"{rng.randrange(1, 10**9) / 100},{rng.randrange(1, 10**9) / 100}"
+                    qty = ",," if roll > 0.95 else (
+                        f"{rng.randrange(10, 10**5) / 10},{rng.randrange(10, 10**5) / 10},kg"
+                    )
+                    lines.append(f"{period},{reporter},{partner},{code:06d},{values},{qty}\n")
+    return "".join(lines).encode()
+
+
+class TestSharedStrings:
+    """One object per distinct key field and unit; the merged table held once."""
+
+    @pytest.fixture(scope="class")
+    def table(self) -> bytes:
+        return _panel_table(codes=400)
+
+    def test_equal_key_fields_and_units_are_one_object(self, table):
+        flows = read_flows(io.BytesIO(table)).flows
+        assert len(flows) > 37_000
+        first: dict = {}
+        for flow in flows:
+            for value in (*flow.key, flow.volume_unit):
+                assert first.setdefault(value, value) is value
+        assert "kg" in first and None in first
+
+    def test_peak_memory_per_key(self, table):
+        # Each flow costs about 360 B at the peak; a copy of each key's
+        # strings (about 53 B apiece) or of the merged table exceeds the bound.
+        source = io.BytesIO(table)
+        tracemalloc.start()
+        try:
+            result = read_flows(source)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak / len(result.flows) < 500
 
 
 class TestApplyGrouping:
@@ -330,6 +391,28 @@ def test_grouping_map_bytes_decoded_and_invalid_utf8_rejected_with_row_number():
     with pytest.raises(FlowParseError) as exc:
         read_grouping_map(io.BytesIO(b"industry_code,group_id\n1,G1\n2,\xff\n"))
     assert (exc.value.row_number, exc.value.reason) == (3, "not valid UTF-8")
+
+
+@pytest.mark.parametrize("binary", [False, True], ids=["text", "bytes"])
+@pytest.mark.parametrize("first", ["period", '"period"'])
+def test_leading_byte_order_mark_ignored(binary, first):
+    def source(text: str):
+        return io.BytesIO(text.encode()) if binary else io.StringIO(text)
+
+    table = f"{first}{HEADER.removeprefix('period')}\n2020,FRA,DEU,1,5,8,,,\n"
+    assert read_flows(source("\ufeff" + table)) == read_flows(source(table))
+    grouping = "industry_code,group_id\n1,G1\n"
+    assert read_grouping_map(source("\ufeff" + grouping)) == {"1": "G1"}
+
+
+def test_byte_order_mark_elsewhere_is_data():
+    with pytest.raises(FlowParseError, match="bad header"):
+        parse(f"\ufeff\ufeff{HEADER}\n")
+    (flow,) = parse(f"\ufeff{HEADER}\n\ufeff2020,FRA,DEU,1,5,8,,,\n").flows
+    assert flow.key.period == "\ufeff2020"
+    assert read_grouping_map(io.StringIO("industry_code,group_id\n\ufeff1,G1\n")) == {
+        "\ufeff1": "G1"
+    }
 
 
 @pytest.mark.parametrize("read, raw", [
