@@ -20,13 +20,14 @@ import shutil
 import sys
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import BinaryIO, Callable, TypeVar
+from typing import BinaryIO, Callable, Iterable, TypeVar
 
 from iitkit.differentiation import (
     FAMILIES,
     DifferentiationMethod,
     Rows,
     _CsvTable,
+    _check_group,
     _shares_table,
     _unit_values,
     _write_csv,
@@ -36,6 +37,7 @@ from iitkit.indices import TradeTypeMethod, check_fraction
 from iitkit.sensitivity import (
     DEFAULT_ALPHA_GRID,
     _flips_table,
+    _period_order,
     _transitions_table,
     _validate_alphas,
     alpha_sweep,
@@ -222,10 +224,16 @@ def _template(fields: tuple[str, ...], depth: int) -> str:
 def _write_json(write: Callable[[str], object], value, depth: int) -> None:
     """Write `value` as json.dump(value, indent=2) writes it at nesting `depth`.
 
-    A dict or a report record (anything with items()) is an object; a Rows
-    is a list of flat objects, each filled into one template; a list or
-    tuple is a list. Raises ValueError on a float that is not finite.
+    A str, float, int, bool or None is a scalar; a dict or a report record
+    (anything with items()) is an object; a Rows is a list of flat objects,
+    each filled into one template; any other iterable, a generator included,
+    is a list, each member written before the next is drawn. Raises
+    ValueError on a float that is not finite.
     """
+    scalar = _SCALAR.get(type(value))
+    if scalar is not None:
+        write(scalar(value))
+        return
     pad = "\n" + "  " * (depth + 1)
     if hasattr(value, "items"):
         sep = "{"
@@ -245,26 +253,27 @@ def _write_json(write: Callable[[str], object], value, depth: int) -> None:
             write(sep + pad + template % tuple([scalar[type(v)](v) for v in row]))
             sep = ","
         write("[]" if sep == "[" else pad[:-2] + "]")
-    elif isinstance(value, (list, tuple)):
+    else:
         sep = "["
         for member in value:
             write(sep + pad)
             _write_json(write, member, depth + 1)
             sep = ","
         write("[]" if sep == "[" else pad[:-2] + "]")
-    else:
-        write(_SCALAR[type(value)](value))
 
 
 def _write_report(
-    args: argparse.Namespace, key: str, records: list, csv_table: Callable[[list], _CsvTable],
-    **extra,
+    args: argparse.Namespace, key: str, records: Iterable,
+    csv_table: Callable[[Iterable], _CsvTable], **extra,
 ) -> int:
     """Write the records as the CSV table `csv_table(records)` or as JSON under `key`.
 
-    Either is written a piece at a time: CSV a row at a time, with the bytes
-    the library's `*_to_csv` gives; JSON starting with the run's config,
-    extended by `extra`, with the bytes json.dump(indent=2) gives.
+    `records` is any iterable, iterated once; each record is written before
+    the next is drawn, so a generator of records has one alive at a time.
+    An error while writing leaves part of a report on stdout, which is why
+    the runners check their groups first. Either format is written a piece at a time: CSV a row at a time, with
+    the bytes the library's `*_to_csv` gives; JSON starting with the run's
+    config, extended by `extra`, with the bytes json.dump(indent=2) gives.
     With --output naming a file, the report goes to a temporary file beside
     it, which replaces it only once the report is complete.
     """
@@ -307,18 +316,28 @@ def _write_report(
     return EXIT_OK
 
 
+# Each runner first checks every group it will decompose, in the order it
+# decomposes them, so the first data error is raised, with its message,
+# before the report's first byte. The records are then built one at a time
+# as the report is written.
+
+
 def _run_compute(args: argparse.Namespace) -> int:
     groups = _load_groups(args)
     method = DifferentiationMethod(args.family, args.alpha)
     type_method = _type_method(args)
-    reports = [decompose_shares(g, method, type_method) for g in groups]
+    for group in groups:
+        _check_group(group)
+    reports = (decompose_shares(g, method, type_method) for g in groups)
     return _write_report(args, "reports", reports, _shares_table)
 
 
 def _run_sweep(args: argparse.Namespace) -> int:
     groups = _load_groups(args)
     type_method = _type_method(args)
-    sweeps = [alpha_sweep(g, args.alphas, args.family, type_method) for g in groups]
+    for group in groups:
+        _check_group(group)
+    sweeps = (alpha_sweep(g, args.alphas, args.family, type_method) for g in groups)
     return _write_report(args, "sweeps", sweeps, _flips_table)
 
 
@@ -336,14 +355,17 @@ def _run_transitions(args: argparse.Namespace) -> int:
     for group in groups:
         _, reporter, partner = group.snapshot
         panels.setdefault((reporter, partner, group.group_id), []).append(group)
-    reports = [
+    panel_series = [series for _, series in sorted(panels.items()) if len(series) > 1]
+    for series in panel_series:  # nature_transitions takes the periods in natural order
+        for group in sorted(series, key=lambda g: _period_order(g.snapshot[0])):
+            _check_group(group)
+    reports = (
         nature_transitions(series, args.alpha, args.family, type_method)
-        for _, series in sorted(panels.items())
-        if len(series) > 1
-    ]
+        for series in panel_series
+    )
     return _write_report(
         args, "panels", reports, _transitions_table,
-        single_period_panels_skipped=len(panels) - len(reports),
+        single_period_panels_skipped=len(panels) - len(panel_series),
     )
 
 

@@ -295,6 +295,28 @@ def decompose_shares(
     return report
 
 
+def _group_total(group: IndustryGroup) -> float:
+    """The group's total trade; raises OverflowError when it exceeds the float range."""
+    total = group.total_trade
+    if total == math.inf:
+        raise OverflowError(
+            f"total trade of group {group.group_id!r} in {group.snapshot} exceeds the float range"
+        )
+    return total
+
+
+def _check_group(group: IndustryGroup) -> None:
+    """Raise the error `_decompose` would raise on `group`, if any.
+
+    `_decompose` checks the total first, then forms each member's ratio in
+    member order; nothing else it does can fail on a group `read_flows`
+    and `apply_grouping` built.
+    """
+    _group_total(group)
+    for member in group.members:
+        _unit_values(member)
+
+
 def _first_horizontal(methods: Sequence[DifferentiationMethod], ratio: float) -> int:
     """Index of the first of `methods` that calls `ratio` horizontal, or len(methods).
 
@@ -328,11 +350,7 @@ def _decompose(
     method, each in member order, as in a decomposition of its own; all the
     reports share one details tuple. Returns the reports and those indices.
     """
-    total = group.total_trade
-    if total == math.inf:
-        raise OverflowError(
-            f"total trade of group {group.group_id!r} in {group.snapshot} exceeds the float range"
-        )
+    total = _group_total(group)
     ghm = methods[0].family == "ghm"
     first_method, count = methods[0], len(methods)
     horizontal = Differentiation.HORIZONTAL

@@ -93,7 +93,7 @@ class IndustryFlow:
         return self.export_value + self.import_value
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IndustryGroup:
     """A nonempty set of industries observed in one (period, reporter, partner) snapshot."""
 

@@ -10,6 +10,7 @@ import os
 import stat
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -22,13 +23,23 @@ from iitkit.cli import main
 from iitkit.datasets import example_flows_path, example_panel_path
 from iitkit.differentiation import (
     Differentiation,
+    DifferentiationMethod,
     IndustryDetail,
     SharesReport,
     UnclassifiableReason,
+    decompose_shares,
 )
-from iitkit.indices import TradeType
-from iitkit.sensitivity import FlipPoint, SweepResult, Transition, TransitionReport
-from iitkit.trade_data import FlowKey, read_flows
+from iitkit.indices import TradeType, TradeTypeMethod
+from iitkit.sensitivity import (
+    DEFAULT_ALPHA_GRID,
+    FlipPoint,
+    SweepResult,
+    Transition,
+    TransitionReport,
+    alpha_sweep,
+    nature_transitions,
+)
+from iitkit.trade_data import FlowKey, apply_grouping, read_flows, read_grouping_map
 
 HEADER = "period,reporter,partner,industry_code,export_value,import_value,export_qty,import_qty,qty_unit"
 
@@ -872,3 +883,125 @@ class TestFuzz:
             expected = 1 if command == "transitions" and len(periods) < 2 else 0
             assert code == expected, (command, capsys.readouterr().err)
         capsys.readouterr()
+
+
+# The cells after the key of a row of each kind. Two "big" rows in one
+# group overflow its total; a "nan" row's unit values are inf/inf.
+_KINDS = {
+    "ok": "116,100,100,100,kg",
+    "one-way": "100,0,,,",
+    "big": "1e308,0,,,",
+    "nan": "1e300,1e300,1e-10,1e-10,kg",
+}
+_GROUP_MAP = "industry_code,group_id\n1,G\n2,G\n3,G\n4,H\n"  # code 5 is its own group
+# One row per key, so no key's merged sum overflows while the table is read.
+_FAULTY_ROWS = st.dictionaries(
+    st.tuples(
+        st.sampled_from(["2020M9", "2020M10", "2021"]),
+        st.sampled_from(["DEU", "USA"]),
+        st.sampled_from(["1", "2", "3", "4", "5"]),
+    ),
+    st.sampled_from(["ok", "one-way", "big", "big", "nan"]),
+    min_size=1, max_size=14,
+).map(lambda rows: "".join(
+    f"{period},FRA,{partner},{code},{_KINDS[kind]}\n"
+    for (period, partner, code), kind in rows.items()
+))
+
+
+def _first_error(command: str, table: Path, group_map: Path, family: str) -> str | None:
+    """The message of the first error that building every record of the report
+    up front, in report order, raises; None when there is none."""
+    with open(table, "rb") as fh:
+        flows = read_flows(fh).flows
+    with open(group_map, "rb") as fh:
+        groups = apply_grouping(flows, read_grouping_map(fh))
+    type_method = TradeTypeMethod.abd_el_rahman(0.10)  # the CLI's default
+    panels: dict = {}
+    for group in groups:
+        panels.setdefault((*group.snapshot[1:], group.group_id), []).append(group)
+    try:
+        if command == "compute":
+            [decompose_shares(g, DifferentiationMethod(family, 0.15), type_method) for g in groups]
+        elif command == "sweep":
+            [alpha_sweep(g, DEFAULT_ALPHA_GRID, family, type_method) for g in groups]
+        else:
+            [
+                nature_transitions(series, 0.15, family, type_method)
+                for _, series in sorted(panels.items())
+                if len(series) > 1
+            ]
+    except OverflowError as exc:
+        return str(exc)
+    return None
+
+
+class TestFirstError:
+    @pytest.mark.parametrize("command", ["compute", "sweep", "transitions"])
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(body=_FAULTY_ROWS, family=st.sampled_from(["ghm", "ff"]))
+    # In both periods group G's total overflows and one member's ratio is
+    # NaN, so the total is the error. 2020M10 sorts before 2020M9 as text,
+    # which compute and sweep follow, and after it in natural order, which
+    # transitions follows.
+    @example(body="".join(
+        f"{period},FRA,DEU,{code},{_KINDS[kind]}\n"
+        for period, kinds in [("2020M9", "big big nan"), ("2020M10", "nan big big")]
+        for code, kind in zip("123", kinds.split())
+    ), family="ghm")
+    def test_same_first_error_as_building_every_record_first(
+        self, tmp_path, capsys, command, fmt, body, family
+    ):
+        table, group_map = tmp_path / "faulty.csv", tmp_path / "map.csv"
+        table.write_text(f"{HEADER}\n{body}")
+        group_map.write_text(_GROUP_MAP)
+        code = run(
+            command, "--input", table, "--group-map", group_map, "--format", fmt,
+            "--family", family,
+        )
+        out, err = capsys.readouterr()
+        periods = {line.split(",")[0] for line in body.splitlines()}
+        if command == "transitions" and len(periods) < 2:
+            assert (code, out) == (1, "")
+            return
+        message = _first_error(command, table, group_map, family)
+        if message is None:
+            assert (code, err) == (0, "")
+        else:
+            assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+class TestOneRecordAtATime:
+    @pytest.mark.parametrize("command, name", [
+        ("compute", "decompose_shares"),
+        ("sweep", "alpha_sweep"),
+        ("transitions", "nature_transitions"),
+    ])
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_at_most_two_records_alive(self, tmp_path, monkeypatch, capsys, command, name, fmt):
+        """The record being built and the one last written; 120 groups, 60 panels."""
+        table = tmp_path / "flows.csv"
+        table.write_text(HEADER + "\n" + "".join(
+            f"{period},FRA,DEU,{code},116,100,100,100,kg\n"
+            for period in ("2020", "2021") for code in range(60)
+        ))
+        alive = peak = 0
+
+        def dead():
+            nonlocal alive
+            alive -= 1
+
+        def counted(*args):
+            nonlocal alive, peak
+            record = real(*args)
+            weakref.finalize(record, dead)
+            alive += 1
+            peak = max(peak, alive)
+            return record
+
+        real = getattr(cli, name)
+        monkeypatch.setattr(cli, name, counted)
+        assert run(command, "--input", table, "--format", fmt) == 0
+        capsys.readouterr()
+        assert 1 <= peak <= 2
