@@ -36,10 +36,12 @@ from iitkit.differentiation import (
     unit_value_ratio,
 )
 from iitkit.sensitivity import (
+    SweepFlips,
     SweepResult,
     TransitionReport,
     alpha_sweep,
     nature_transitions,
+    sweep_flips,
 )
 
 __all__ = [
@@ -65,10 +67,12 @@ __all__ = [
     "classify_ghm",
     "decompose_shares",
     "unit_value_ratio",
+    "SweepFlips",
     "SweepResult",
     "TransitionReport",
     "alpha_sweep",
     "nature_transitions",
+    "sweep_flips",
 ]
 
 __version__ = "0.1.0"

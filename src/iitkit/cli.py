@@ -42,6 +42,7 @@ from iitkit.sensitivity import (
     _validate_alphas,
     alpha_sweep,
     nature_transitions,
+    sweep_flips,
 )
 from iitkit.trade_data import (
     GROUP_POLICIES,
@@ -271,11 +272,12 @@ def _write_report(
     `records` is any iterable, iterated once; each record is written before
     the next is drawn, so a generator of records has one alive at a time.
     An error while writing leaves part of a report on stdout, which is why
-    the runners check their groups first. Either format is written a piece at a time: CSV a row at a time, with
-    the bytes the library's `*_to_csv` gives; JSON starting with the run's
-    config, extended by `extra`, with the bytes json.dump(indent=2) gives.
-    With --output naming a file, the report goes to a temporary file beside
-    it, which replaces it only once the report is complete.
+    the runners check their groups first. Either format is written a piece
+    at a time: CSV a row at a time, with the bytes the library's `*_to_csv`
+    gives; JSON starting with the run's config, extended by `extra`, with
+    the bytes json.dump(indent=2) gives. With --output naming a file, the
+    report goes to a temporary file beside it, which replaces it only once
+    the report is complete.
     """
 
     def write(fh) -> None:
@@ -337,7 +339,9 @@ def _run_sweep(args: argparse.Namespace) -> int:
     type_method = _type_method(args)
     for group in groups:
         _check_group(group)
-    sweeps = (alpha_sweep(g, args.alphas, args.family, type_method) for g in groups)
+    # A CSV report holds only the flips, so it builds no share tables.
+    sweep = sweep_flips if args.format == "csv" else alpha_sweep
+    sweeps = (sweep(g, args.alphas, args.family, type_method) for g in groups)
     return _write_report(args, "sweeps", sweeps, _flips_table)
 
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import IO, Iterable, Iterator, NamedTuple, Sequence
@@ -203,37 +204,16 @@ class SharesReport:
 
     # Names of values(), in order: the JSON keys before "industries" and the CSV header.
     FIELDS = (
-        "period",
-        "reporter",
-        "partner",
-        "group_id",
-        "family",
-        "alpha",
-        "type_method",
-        "aer_threshold",
-        "total_trade",
-        "iit",
-        "hiit",
-        "viit",
-        "hqviit",
-        "lqviit",
-        "unclassified_share",
+        "period", "reporter", "partner", "group_id", "family", "alpha",
+        "type_method", "aer_threshold", "total_trade", "iit", "hiit", "viit",
+        "hqviit", "lqviit", "unclassified_share",
     )
 
     def values(self) -> tuple:
         return (
-            *self.snapshot,
-            self.group_id,
-            self.family,
-            self.alpha,
-            self.type_method.kind,
-            self.type_method.threshold,
-            self.total_trade,
-            self.iit,
-            self.hiit,
-            self.viit,
-            self.hqviit,
-            self.lqviit,
+            *self.snapshot, self.group_id, self.family, self.alpha,
+            self.type_method.kind, self.type_method.threshold, self.total_trade,
+            self.iit, self.hiit, self.viit, self.hqviit, self.lqviit,
             self.unclassified_share,
         )
 
@@ -317,95 +297,88 @@ def _check_group(group: IndustryGroup) -> None:
         _unit_values(member)
 
 
-def _first_horizontal(methods: Sequence[DifferentiationMethod], ratio: float) -> int:
-    """Index of the first of `methods` that calls `ratio` horizontal, or len(methods).
+def _members(
+    group: IndustryGroup, methods: Sequence[DifferentiationMethod], type_method: TradeTypeMethod
+) -> Iterator[tuple]:
+    """The member pass every report is a projection of, one member at a time.
 
-    `methods[0]` must call it vertical. Along the grid the band only widens,
-    so the widest method settles whether any does, and bisection finds which.
+    `methods` share one family, alphas strictly increasing. Yields per member:
+    the flow, its trade type, its IIT amount, its ratio (None if it has none),
+    why it has none (only if it has IIT), its label under `methods[0]` (None
+    without IIT or ratio) and the index of the first method that calls it
+    horizontal, len(methods) if none does. Along increasing alpha the float
+    band edges are monotone and `_band` compares the ratio with the same
+    floats, inclusively, so bisecting the `upper` edges (a ratio above the
+    band) or the negated `lower` edges (below it) finds that index. Raises,
+    before the first member, what `_group_total` raises.
     """
-    lo, hi = 0, len(methods) - 1
-    if methods[hi].classify(ratio) is not Differentiation.HORIZONTAL:
-        return len(methods)
-    while hi - lo > 1:  # methods[lo] calls it vertical, methods[hi] horizontal
-        mid = (lo + hi) // 2
-        if methods[mid].classify(ratio) is Differentiation.HORIZONTAL:
-            hi = mid
-        else:
-            lo = mid
-    return hi
-
-
-def _decompose(
-    group: IndustryGroup,
-    methods: Sequence[DifferentiationMethod],
-    type_method: TradeTypeMethod,
-) -> tuple[list[SharesReport], list[int]]:
-    """`decompose_shares` under each of `methods`, one family along a widening band.
-
-    The member pass forms each member's IIT amount, ratio and label under
-    `methods[0]` once, and finds the index of the first method that calls
-    the member horizontal: at or past it the member is horizontal, before it
-    it keeps its first label. A member labelled under no method, or
-    horizontal under none, gets len(methods). Only the sums then repeat per
-    method, each in member order, as in a decomposition of its own; all the
-    reports share one details tuple. Returns the reports and those indices.
-    """
-    total = _group_total(group)
+    _group_total(group)
     ghm = methods[0].family == "ghm"
-    first_method, count = methods[0], len(methods)
-    horizontal = Differentiation.HORIZONTAL
-
-    iit = unclassified = 0.0
-    details: list[IndustryDetail] = []
-    # Per member: the IIT amount, the first horizontal index, the label under methods[0].
-    amounts: list[float] = []
-    firsts: list[int] = []
-    kept: list[Differentiation | None] = []
+    lower, upper = methods[0].lower, methods[0].upper
+    uppers = [m.upper for m in methods]
+    negated_lowers = [-m.lower for m in methods]
+    count, two_way = len(methods), TradeType.TWO_WAY
+    horizontal, vertical_high = Differentiation.HORIZONTAL, Differentiation.VERTICAL_HIGH
     for flow in group.members:
         trade_type = classify_trade_type(flow, type_method)
         if ghm:
             amount = 2.0 * min(flow.export_value, flow.import_value)
         else:
-            amount = flow.total_trade if trade_type is TradeType.TWO_WAY else 0.0
-        iit += amount
-
+            amount = flow.total_trade if trade_type is two_way else 0.0
         uvr = _unit_values(flow)
-        ratio = None if isinstance(uvr, UnclassifiableReason) else uvr[2]
-        label = reason = None
+        ratio = reason = label = None
         first = count
-        if amount > 0:
-            if ratio is not None:
-                label = first_method.classify(ratio)
+        if isinstance(uvr, UnclassifiableReason):
+            reason = uvr if amount > 0 else None
+        else:
+            ratio = uvr[2]
+            if amount > 0:
+                label = _band(ratio, lower, upper)
                 if label is horizontal:
                     first = 0
-                elif count > 1:
-                    first = _first_horizontal(methods, ratio)
-            else:
-                reason = uvr
-                unclassified += amount
-        amounts.append(amount)
-        firsts.append(first)
-        kept.append(label)
-        details.append(IndustryDetail(flow.key, trade_type, ratio, reason, amount / total))
-    shared = tuple(details)
+                elif label is vertical_high:
+                    first = bisect_left(uppers, ratio)
+                else:
+                    first = bisect_left(negated_lowers, -ratio)
+        yield flow, trade_type, amount, ratio, reason, label, first
+
+
+def _decompose(
+    group: IndustryGroup, methods: Sequence[DifferentiationMethod], type_method: TradeTypeMethod
+) -> tuple[list[SharesReport], list[tuple]]:
+    """`decompose_shares` under each of `methods`, from one `_members` pass.
+
+    At or past its first horizontal index a member is horizontal; before it
+    it keeps its label under `methods[0]`. Only the sums repeat per method,
+    each in member order, as in a decomposition of its own; all the reports
+    share one details tuple. Returns the reports and the pass's members.
+    """
+    members = list(_members(group, methods, type_method))
+    total = group.total_trade  # finite, or the pass would have raised
+    iit = unclassified = 0.0
+    for _, _, amount, _, reason, _, _ in members:
+        iit += amount
+        if reason is not None:
+            unclassified += amount
+    shared = tuple([IndustryDetail(m[0].key, m[1], m[3], m[4], m[2] / total) for m in members])
 
     reports = []
-    vertical_high = Differentiation.VERTICAL_HIGH
-    labels = tuple(kept)
+    horizontal, vertical_high = Differentiation.HORIZONTAL, Differentiation.VERTICAL_HIGH
+    labels = tuple([m[5] for m in members])
     for k, method in enumerate(methods):
         hiit = hq = lq = 0.0
-        for amount, first, label in zip(amounts, firsts, kept):
+        for _, _, amount, _, _, label, first in members:
             if first <= k:
                 hiit += amount
             elif label is vertical_high:
                 hq += amount
             elif label is not None:
                 lq += amount
-        if k:  # at k = 0 the labels are the kept ones
-            labels = tuple([horizontal if f <= k else label for f, label in zip(firsts, kept)])
+        if k:  # at k = 0 the labels are those under methods[0]
+            labels = tuple([horizontal if m[6] <= k else m[5] for m in members])
         reports.append(SharesReport(
             group.group_id, group.snapshot, method.family, method.alpha, type_method, total,
             iit / total, hiit / total, (hq + lq) / total, hq / total, lq / total,
             unclassified / total, shared, labels,
         ))
-    return reports, firsts
+    return reports, members

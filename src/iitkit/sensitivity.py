@@ -4,17 +4,20 @@ The horizontal band is arbitrary: widening alpha can silently re-label an
 industry, and a tiny period-over-period movement of the unit-value ratio
 across the band edge flips its assigned nature. `alpha_sweep` decomposes a
 group once over an alpha grid: since the band only widens with alpha, each
-industry is horizontal from one grid point on, found by bisecting the grid,
-and its labels and its one flip follow from that point. `nature_transitions`
-records flips across consecutive periods of a panel at a fixed alpha. Flips
-are detected on labels, not on ratio movements, so hairline crossings are
-reported rather than smoothed.
+industry is horizontal from one grid point on, found by one band test and
+one bisection of the grid's band edges, and its labels and its one flip
+follow from that point; `sweep_flips` gives the flips alone.
+`nature_transitions` records flips across consecutive periods of a panel
+at a fixed alpha, from each period's labels alone. Flips are detected on
+labels, not on ratio movements, so hairline crossings are reported rather
+than smoothed.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 from iitkit.differentiation import (
@@ -25,11 +28,14 @@ from iitkit.differentiation import (
     _CsvTable,
     _csv_text,
     _decompose,
+    _members,
     _plain,
-    decompose_shares,
 )
 from iitkit.indices import TradeTypeMethod, check_fraction
 from iitkit.trade_data import FlowKey, IndustryGroup
+
+# perfbench/tracer.py wraps decompose_shares by its name on this module.
+from iitkit.differentiation import decompose_shares  # noqa: F401
 
 DEFAULT_ALPHA_GRID = (0.05, 0.10, 0.15, 0.20, 0.25, 0.30)
 
@@ -75,6 +81,14 @@ class SweepResult:
 
     def to_dict(self) -> dict:
         return _plain(self)
+
+
+@dataclass(frozen=True)
+class SweepFlips:
+    """The flip points of one industry group over an alpha grid, with no share tables."""
+
+    group_id: str
+    flip_points: tuple[FlipPoint, ...]
 
 
 @dataclass(frozen=True)
@@ -153,30 +167,38 @@ def _validate_alphas(alphas: Sequence[float]) -> tuple[float, ...]:
     return tuple(alphas)
 
 
+def _flips(alphas: tuple[float, ...], members: Iterable[tuple]) -> tuple[FlipPoint, ...]:
+    """The flips of a `_members` pass over `alphas`: by boundary, then in member order."""
+    flipping = [(m[6], m[0].key, m[5]) for m in members if 0 < m[6] < len(alphas)]
+    flipping.sort(key=itemgetter(0))  # by first horizontal index, stable
+    horizontal = Differentiation.HORIZONTAL
+    return tuple([FlipPoint(key, alphas[k], label, horizontal) for k, key, label in flipping])
+
+
 def alpha_sweep(
-    group: IndustryGroup,
-    alphas: Sequence[float],
-    family: str,
-    type_method: TradeTypeMethod,
+    group: IndustryGroup, alphas: Sequence[float], family: str, type_method: TradeTypeMethod
 ) -> SweepResult:
     """The share table at each alpha, and the label flips between adjacent alphas.
 
     Along increasing alpha the horizontal band only widens, so a member
     flips at most once, at the first alpha that calls it horizontal, from
-    its label at the first alpha. Flips are listed by boundary, then in
-    member order.
+    its label at the first alpha.
     """
     alphas = _validate_alphas(alphas)
     methods = [DifferentiationMethod(family, a) for a in alphas]
-    reports, firsts = _decompose(group, methods, type_method)
-    details, kept = reports[0].details, reports[0].labels
-    flipping = [i for i, first in enumerate(firsts) if 0 < first < len(alphas)]
-    flipping.sort(key=firsts.__getitem__)  # stable: member order within a boundary
-    flips = tuple(
-        FlipPoint(details[i].key, alphas[firsts[i]], kept[i], Differentiation.HORIZONTAL)
-        for i in flipping
+    reports, members = _decompose(group, methods, type_method)
+    return SweepResult(
+        group.group_id, group.snapshot, alphas, tuple(reports), _flips(alphas, members)
     )
-    return SweepResult(group.group_id, group.snapshot, alphas, tuple(reports), flips)
+
+
+def sweep_flips(
+    group: IndustryGroup, alphas: Sequence[float], family: str, type_method: TradeTypeMethod
+) -> SweepFlips:
+    """The flip points of `alpha_sweep` alone, from the same pass; raises as it does."""
+    alphas = _validate_alphas(alphas)
+    methods = [DifferentiationMethod(family, a) for a in alphas]
+    return SweepFlips(group.group_id, _flips(alphas, _members(group, methods, type_method)))
 
 
 def _period_order(period: str) -> tuple[list, str]:
@@ -202,7 +224,9 @@ def nature_transitions(
     `panel` holds one group per period, all with the same reporter, partner
     and group id. Periods are ordered naturally by label, digit runs as
     numbers. Industries absent or unlabelled (no IIT or no ratio) in either
-    period of a pair are skipped, and counted once per pair.
+    period of a pair are skipped, and counted once per pair. Each period's
+    keys, ratios and labels come from one member pass at `alpha`, with no
+    share table built; raises what `decompose_shares` raises on a period.
     """
     groups = list(panel)
     panels = {(*g.snapshot[1:], g.group_id) for g in groups}
@@ -218,24 +242,26 @@ def nature_transitions(
         raise ValueError(f"panel needs at least 2 periods, got {len(by_period)}")
 
     periods = sorted(by_period, key=_period_order)
-    method = DifferentiationMethod(family, alpha)
-    reports = [decompose_shares(by_period[p], method, type_method) for p in periods]
-    # Match on (reporter, partner, industry_code); period differs by design.
-    lines = [{d.key[1:]: (d, label) for d, label in zip(r.details, r.labels)} for r in reports]
+    methods = [DifferentiationMethod(family, alpha)]
+    lines = []
+    for period in periods:
+        # Match on (reporter, partner, industry_code); period differs by design.
+        members = _members(by_period[period], methods, type_method)
+        lines.append({
+            flow.key[1:]: (flow.key, ratio, label) for flow, _, _, ratio, _, label, _ in members
+        })
 
     transitions: list[Transition] = []
     skipped = 0
     for from_map, to_map in zip(lines, lines[1:]):
         for ident in sorted(from_map.keys() | to_map.keys()):
-            d_from, label_from = from_map.get(ident, (None, None))
-            d_to, label_to = to_map.get(ident, (None, None))
+            key_from, ratio_from, label_from = from_map.get(ident, (None, None, None))
+            key_to, ratio_to, label_to = to_map.get(ident, (None, None, None))
             if label_from is None or label_to is None:
                 skipped += 1
                 continue
             transitions.append(
-                Transition(
-                    d_from.key, d_to.key, d_from.ratio, d_to.ratio, label_from, label_to
-                )
+                Transition(key_from, key_to, ratio_from, ratio_to, label_from, label_to)
             )
     (reporter, partner, group_id), = panels
     return TransitionReport(

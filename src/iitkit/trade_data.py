@@ -385,12 +385,20 @@ def read_grouping_map(source: IO[bytes] | IO[str] | Iterable[str]) -> dict[str, 
     """Read a two-column industry_code,group_id CSV (with header) into a dict.
 
     `source` is read as read_flows reads it. Raises FlowParseError on a
-    malformed row, bytes that are not UTF-8 included.
+    malformed row, bytes that are not UTF-8 included, and on a row that puts
+    an industry code in another group than an earlier row did; a repeat of
+    the same pair is accepted.
     """
     mapping: dict[str, str] = {}
     for row_number, row in _table(source, ("industry_code", "group_id")):
         code, group_id = row
         if not (code and group_id):
             raise FlowParseError(row_number, f"bad grouping row {row!r}")
-        mapping[code] = group_id
+        earlier = mapping.setdefault(code, group_id)
+        if earlier != group_id:
+            raise FlowParseError(
+                row_number,
+                f"industry_code {code!r} is in group {earlier!r} by an earlier row, "
+                f"not {group_id!r}",
+            )
     return mapping

@@ -113,6 +113,21 @@ class TestCompute:
         assert [r["group_id"] for r in doc["reports"]] == ["G"]
         assert len(doc["reports"][0]["industries"]) == 2
 
+    def test_code_in_two_groups_exits_2_naming_the_row(self, tmp_path, capsys):
+        gmap = tmp_path / "map.csv"
+        gmap.write_text("industry_code,group_id\n000001,A\n000001,B\n")
+        code = run("compute", "--input", example_flows_path(), "--group-map", gmap)
+        assert (code, capsys.readouterr()) == (2, (
+            "", f"error: {gmap}: row 3: industry_code '000001' is in group 'A' "
+            "by an earlier row, not 'B'\n",
+        ))
+
+    def test_code_repeated_in_one_group_is_accepted(self, tmp_path, capsys):
+        gmap = tmp_path / "map.csv"
+        gmap.write_text("industry_code,group_id\n000001,A\n000002,A\n000001,A\n")
+        assert run("compute", "--input", example_flows_path(), "--group-map", gmap) == 0
+        assert [r["group_id"] for r in json.loads(capsys.readouterr().out)["reports"]] == ["A"]
+
     def test_csv_format(self, flows_csv, tmp_path, capsys):
         assert run("compute", "--input", flows_csv, "--format", "csv") == 0
         lines = capsys.readouterr().out.strip().splitlines()
@@ -973,12 +988,15 @@ class TestFirstError:
 
 
 class TestOneRecordAtATime:
-    @pytest.mark.parametrize("command, name", [
-        ("compute", "decompose_shares"),
-        ("sweep", "alpha_sweep"),
-        ("transitions", "nature_transitions"),
+    # A CSV sweep builds its records with sweep_flips, a JSON one with alpha_sweep.
+    @pytest.mark.parametrize("fmt, command, name", [
+        ("json", "compute", "decompose_shares"),
+        ("csv", "compute", "decompose_shares"),
+        ("json", "sweep", "alpha_sweep"),
+        ("csv", "sweep", "sweep_flips"),
+        ("json", "transitions", "nature_transitions"),
+        ("csv", "transitions", "nature_transitions"),
     ])
-    @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_at_most_two_records_alive(self, tmp_path, monkeypatch, capsys, command, name, fmt):
         """The record being built and the one last written; 120 groups, 60 panels."""
         table = tmp_path / "flows.csv"

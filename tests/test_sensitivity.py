@@ -18,8 +18,11 @@ from iitkit.differentiation import (
 from iitkit.indices import TradeType, TradeTypeMethod, classify_trade_type
 from iitkit.sensitivity import (
     DEFAULT_ALPHA_GRID,
+    Transition,
+    TransitionReport,
     alpha_sweep,
     nature_transitions,
+    sweep_flips,
     sweep_flips_to_csv,
     transitions_to_csv,
 )
@@ -75,34 +78,53 @@ def reference_report(group, family, alpha, type_method):
     )
 
 
+def _member(draw, ratio, code, period="2020"):
+    """A drawn flow: exact ratios from `ratio`, unclassifiable and one-way members."""
+    x = 2.0 ** draw(st.integers(-3, 3))  # export volume
+    m = draw(st.floats(0.1, 10.0))  # import volume
+    kind = draw(st.sampled_from(["ratio", "ratio", "missing", "zero-volume", "thin", "one-way"]))
+    if kind == "ratio":  # X = ratio * x and M = m, so the ratio is exact
+        return make_flow(draw(ratio) * x, m, x, m, code=code, period=period)
+    if kind == "missing":
+        return make_flow(x, m, code=code, period=period)
+    if kind == "zero-volume":
+        return make_flow(x, m, 0.0, m, code=code, period=period)
+    if kind == "thin":  # often one-way under aer only: IIT under ghm, none under ff
+        return make_flow(64.0 * x, m, x, m, code=code, period=period)
+    return make_flow(x, 0.0, x, m, code=code, period=period)  # one-way under either
+
+
+def _near_edges(alphas):
+    """Ratios on and one float either side of each band edge of the grid, and free ratios."""
+    edges = [e for a in alphas for e in (1 - a, 1 / (1 + a), 1 + a)]
+    near_edge = [r for e in edges for r in (math.nextafter(e, 0.0), e, math.nextafter(e, 2.0))]
+    return st.one_of(st.sampled_from(near_edge), st.floats(0.01, 100.0))
+
+
+ALPHA_GRIDS = st.lists(st.floats(0.001, 0.999), min_size=1, max_size=20, unique=True)
+# Grids along which band edges collide in float: runs of adjacent floats,
+# whose 1 + a or 1 - a round alike, and alphas too small to move an edge off 1.
+COLLIDING_GRIDS = st.one_of(
+    st.tuples(st.floats(0.001, 0.999), st.integers(1, 6)).map(
+        lambda start: [start[0]] + [
+            start[0] + math.ulp(start[0]) * k for k in range(1, start[1] + 1)
+        ]
+    ),
+    st.lists(st.floats(1e-300, 1e-15), min_size=1, max_size=6, unique=True),
+)
+
+
 @st.composite
-def sweep_cases(draw):
+def sweep_cases(draw, grids=ALPHA_GRIDS):
     """(family, type method, alpha grid, group): grids of up to 25 alphas, some one
     float apart; ratios on and one float either side of each band edge of the grid,
     free ratios, and unclassifiable and one-way members."""
-    alphas = draw(st.lists(st.floats(0.001, 0.999), min_size=1, max_size=20, unique=True))
+    alphas = draw(grids)
     # Adjacent floats make the bisection of the grid probe neighbouring points.
     neighbours = draw(st.lists(st.sampled_from(alphas), max_size=5))
     alphas = sorted({*alphas, *(math.nextafter(a, 1.0) for a in neighbours)})
-    edges = [e for a in alphas for e in (1 - a, 1 / (1 + a), 1 + a)]
-    near_edge = [r for e in edges for r in (math.nextafter(e, 0.0), e, math.nextafter(e, 2.0))]
-    ratio = st.one_of(st.sampled_from(near_edge), st.floats(0.01, 100.0))
-    flows = []
-    for i in range(draw(st.integers(1, 10))):
-        code = f"{i:06d}"
-        x = 2.0 ** draw(st.integers(-3, 3))  # export volume
-        m = draw(st.floats(0.1, 10.0))  # import volume
-        kind = draw(st.sampled_from(["ratio", "ratio", "missing", "zero-volume", "thin", "one-way"]))
-        if kind == "ratio":  # X = ratio * x and M = m, so the ratio is exact
-            flows.append(make_flow(draw(ratio) * x, m, x, m, code=code))
-        elif kind == "missing":
-            flows.append(make_flow(x, m, code=code))
-        elif kind == "zero-volume":
-            flows.append(make_flow(x, m, 0.0, m, code=code))
-        elif kind == "thin":  # often one-way under aer only: IIT under ghm, none under ff
-            flows.append(make_flow(64.0 * x, m, x, m, code=code))
-        else:  # one-way under either type method
-            flows.append(make_flow(x, 0.0, x, m, code=code))
+    ratio = _near_edges(alphas)
+    flows = [_member(draw, ratio, f"{i:06d}") for i in range(draw(st.integers(1, 10)))]
     family = draw(st.sampled_from(["ghm", "ff"]))
     return family, draw(st.sampled_from([AER, VONA])), alphas, make_group(flows)
 
@@ -111,6 +133,53 @@ def _hand_picked(family):
     ratios = [0.3, 0.7, 0.86, 0.95, 1.0, 1.12, 1.16, 1.4, 2.5]
     group = make_group([ratio_flow(r, code=f"{i:06d}") for i, r in enumerate(ratios)])
     return family, AER, list(DEFAULT_ALPHA_GRID), group
+
+
+def _colliding():
+    """1 + 0.3 and 1 + 0.30000000000000004 are one float, as are the edges of 1e-300
+    and 1e-20, all 1.0; ratios on and one float either side of those edges."""
+    alphas = [1e-300, 1e-20, 0.3, math.nextafter(0.3, 1.0), 0.5]
+    edges = [1.0, 1.3, 0.7, 1 / 1.3]
+    ratios = [r for e in edges for r in (math.nextafter(e, 0.0), e, math.nextafter(e, 2.0))]
+    group = make_group([ratio_flow(r, code=f"{i:06d}") for i, r in enumerate(ratios)])
+    return "ghm", AER, alphas, group
+
+
+def reference_transitions(periods, family, alpha, type_method):
+    """Transitions between consecutive groups of `periods`, which are in period order,
+    matched on (reporter, partner, industry_code) from one full report per period."""
+    reports = [reference_report(group, family, alpha, type_method) for group in periods]
+    lines = [{d.key[1:]: (d, label) for d, label in zip(r.details, r.labels)} for r in reports]
+    transitions, skipped = [], 0
+    for from_map, to_map in zip(lines, lines[1:]):
+        for ident in sorted(from_map.keys() | to_map.keys()):
+            d_from, label_from = from_map.get(ident, (None, None))
+            d_to, label_to = to_map.get(ident, (None, None))
+            if label_from is None or label_to is None:
+                skipped += 1
+            else:
+                transitions.append(Transition(
+                    d_from.key, d_to.key, d_from.ratio, d_to.ratio, label_from, label_to
+                ))
+    return TransitionReport("FRA", "DEU", "G", family, alpha, tuple(transitions), skipped)
+
+
+PERIODS = ("2020M2", "2020M9", "2020M10", "2021M1")  # natural order, not lexical
+
+
+@st.composite
+def panel_cases(draw):
+    """(family, type method, alpha, periods in order, the same groups shuffled): 2 to 4
+    periods, each holding some of 6 industries, drawn as in `sweep_cases`."""
+    alpha = draw(st.floats(0.001, 0.999))
+    ratio = _near_edges([alpha])
+    periods = []
+    for i in sorted(draw(st.lists(st.integers(0, 3), min_size=2, max_size=4, unique=True))):
+        codes = sorted(draw(st.lists(st.integers(0, 5), min_size=1, max_size=6, unique=True)))
+        periods.append(make_group([_member(draw, ratio, f"{c:06d}", PERIODS[i]) for c in codes]))
+    family = draw(st.sampled_from(["ghm", "ff"]))
+    type_method = draw(st.sampled_from([AER, VONA]))
+    return family, type_method, alpha, periods, draw(st.permutations(periods))
 
 
 class TestAlphaSweep:
@@ -162,6 +231,33 @@ class TestAlphaSweep:
         for flip in result.flip_points:
             assert flip.label_before in (VH, VL) and flip.label_after is H
 
+    @given(sweep_cases())
+    @example(_hand_picked("ghm"))
+    @example(_hand_picked("ff"))
+    @example(_colliding())
+    def test_sweep_flips_are_the_alpha_sweep_flips(self, case):
+        family, type_method, alphas, group = case
+        flips = sweep_flips(group, alphas, family, type_method)
+        assert flips.group_id == group.group_id
+        assert flips.flip_points == alpha_sweep(group, alphas, family, type_method).flip_points
+
+    @pytest.mark.parametrize("family", ["ghm", "ff"])
+    @given(case=st.one_of(sweep_cases(), sweep_cases(COLLIDING_GRIDS)))
+    @example(case=_colliding())
+    def test_bisected_first_index_is_a_linear_scan(self, family, case):
+        """The member pass's first horizontal index is the first method whose
+        `_band` calls the ratio horizontal; its label is the first method's."""
+        _, type_method, alphas, group = case
+        methods = [DifferentiationMethod(family, a) for a in alphas]
+        for member in differentiation._members(group, methods, type_method):
+            ratio, label, first = member[3], member[5], member[6]
+            if label is None:
+                assert first == len(methods)
+                continue
+            bands = [differentiation._band(ratio, m.lower, m.upper) for m in methods]
+            assert label is bands[0]
+            assert first == next((k for k, b in enumerate(bands) if b is H), len(methods))
+
     def test_band_tests_bisect_the_grid(self, monkeypatch):
         band, calls = differentiation._band, 0
 
@@ -177,7 +273,7 @@ class TestAlphaSweep:
         alphas = [k / 40 for k in range(1, 21)]
         result = alpha_sweep(group, alphas, "ghm", AER)
         assert {f.alpha for f in result.flip_points} == set(alphas[1:])
-        assert calls <= len(ratios) * (2 + math.ceil(math.log2(len(alphas))))
+        assert calls == len(ratios)  # one band test each; the edges are bisected
         calls = 0  # a single alpha takes one band test per member
         decompose_shares(group, DifferentiationMethod("ghm", 0.15), AER)
         assert calls == len(ratios)
@@ -314,6 +410,12 @@ class TestNatureTransitions:
         ]
         report = nature_transitions(panel, 0.15, "ghm", AER)
         assert [t.flipped for t in report.transitions] == [True, True]
+
+    @given(panel_cases())
+    def test_matches_full_reports_per_period(self, case):
+        family, type_method, alpha, periods, shuffled = case
+        expected = reference_transitions(periods, family, alpha, type_method)
+        assert nature_transitions(shuffled, alpha, family, type_method) == expected
 
     def test_csv_shape(self):
         report = nature_transitions(self.panel(1.151, 1.149), 0.15, "ghm", AER)

@@ -378,6 +378,18 @@ def test_read_grouping_map():
         read_grouping_map(io.StringIO("wrong,header\n"))
 
 
+def test_grouping_map_code_in_two_groups_rejected_naming_the_later_row():
+    with pytest.raises(FlowParseError) as exc:
+        read_grouping_map(io.StringIO("industry_code,group_id\n1,A\n2,A\n1,B\n"))
+    assert exc.value.row_number == 4
+    assert exc.value.reason == "industry_code '1' is in group 'A' by an earlier row, not 'B'"
+
+
+def test_grouping_map_repeated_pair_accepted():
+    mapping = read_grouping_map(io.StringIO("industry_code,group_id\n1,A\n2,B\n1,A\n"))
+    assert mapping == {"1": "A", "2": "B"}
+
+
 @pytest.mark.parametrize("head, row_number", [("", 1), ("industry_code,group_id\n1,G1\n", 3)])
 def test_grouping_map_oversized_field_rejected_with_row_number(head, row_number):
     with pytest.raises(FlowParseError) as exc:
