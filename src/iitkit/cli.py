@@ -20,7 +20,7 @@ import shutil
 import sys
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import BinaryIO, Callable, Iterable, TypeVar
+from typing import BinaryIO, Callable, Iterable, Iterator, TypeVar
 
 from iitkit.differentiation import (
     FAMILIES,
@@ -47,9 +47,12 @@ from iitkit.sensitivity import (
 from iitkit.trade_data import (
     GROUP_POLICIES,
     FlowParseError,
+    IndustryFlow,
     IndustryGroup,
     UnitConflictError,
     UnmappedCodeError,
+    _group_order,
+    _groups,
     apply_grouping,
     read_flows,
     read_grouping_map,
@@ -173,15 +176,30 @@ def _read(name: str, what: str, parse: Callable[[BinaryIO], _T]) -> _T:
         raise DataError(f"{path}: {exc}") from exc
 
 
-def _load_groups(args: argparse.Namespace) -> list[IndustryGroup]:
+def _load_groups(args: argparse.Namespace, group: Callable[..., _T]) -> _T:
+    """`group(flows, mapping, policy)` on the run's tables; an unmapped code is a DataError."""
     cleaned = _read(args.input, "input file", read_flows)
     mapping = None
     if args.group_map is not None:
         mapping = _read(args.group_map, "grouping file", read_grouping_map)
     try:
-        return apply_grouping(cleaned.flows, mapping, args.group_policy)
+        return group(cleaned.flows, mapping, args.group_policy)
     except UnmappedCodeError as exc:
         raise DataError(str(exc)) from exc
+
+
+def _checked_stream(
+    flows: tuple[IndustryFlow, ...], mapping: dict[str, str] | None, policy: str
+) -> Callable[[], Iterator[IndustryGroup]]:
+    """Check the groups in order, then return a function that streams them anew.
+
+    The flows are put in group order once; each walk builds one group at a
+    time from them, so neither holds a list of groups.
+    """
+    groups = functools.partial(_groups, _group_order(flows, mapping, policy), mapping)
+    for group in groups():
+        _check_group(group)
+    return groups
 
 
 def _type_method(args: argparse.Namespace) -> TradeTypeMethod:
@@ -321,32 +339,28 @@ def _write_report(
 # Each runner first checks every group it will decompose, in the order it
 # decomposes them, so the first data error is raised, with its message,
 # before the report's first byte. The records are then built one at a time
-# as the report is written.
+# as the report is written; compute and sweep build each group anew for it.
 
 
 def _run_compute(args: argparse.Namespace) -> int:
-    groups = _load_groups(args)
+    groups = _load_groups(args, _checked_stream)
     method = DifferentiationMethod(args.family, args.alpha)
     type_method = _type_method(args)
-    for group in groups:
-        _check_group(group)
-    reports = (decompose_shares(g, method, type_method) for g in groups)
+    reports = (decompose_shares(g, method, type_method) for g in groups())
     return _write_report(args, "reports", reports, _shares_table)
 
 
 def _run_sweep(args: argparse.Namespace) -> int:
-    groups = _load_groups(args)
+    groups = _load_groups(args, _checked_stream)
     type_method = _type_method(args)
-    for group in groups:
-        _check_group(group)
     # A CSV report holds only the flips, so it builds no share tables.
     sweep = sweep_flips if args.format == "csv" else alpha_sweep
-    sweeps = (sweep(g, args.alphas, args.family, type_method) for g in groups)
+    sweeps = (sweep(g, args.alphas, args.family, type_method) for g in groups())
     return _write_report(args, "sweeps", sweeps, _flips_table)
 
 
 def _run_transitions(args: argparse.Namespace) -> int:
-    groups = _load_groups(args)
+    groups = _load_groups(args, apply_grouping)
     periods = {g.snapshot[0] for g in groups}
     if len(periods) < 2:
         raise ConfigError(

@@ -309,15 +309,15 @@ def _members(
     horizontal, len(methods) if none does. Along increasing alpha the float
     band edges are monotone and `_band` compares the ratio with the same
     floats, inclusively, so bisecting the `upper` edges (a ratio above the
-    band) or the negated `lower` edges (below it) finds that index. Raises,
-    before the first member, what `_group_total` raises.
+    band) or the negated `lower` edges (below it) finds that index. The
+    caller checks the group's total first, with `_group_total`.
     """
-    _group_total(group)
     ghm = methods[0].family == "ghm"
     lower, upper = methods[0].lower, methods[0].upper
-    uppers = [m.upper for m in methods]
-    negated_lowers = [-m.lower for m in methods]
     count, two_way = len(methods), TradeType.TWO_WAY
+    if count > 1:  # under one method a vertical member's index is 1: nothing to bisect
+        uppers = [m.upper for m in methods]
+        negated_lowers = [-m.lower for m in methods]
     horizontal, vertical_high = Differentiation.HORIZONTAL, Differentiation.VERTICAL_HIGH
     for flow in group.members:
         trade_type = classify_trade_type(flow, type_method)
@@ -336,10 +336,11 @@ def _members(
                 label = _band(ratio, lower, upper)
                 if label is horizontal:
                     first = 0
-                elif label is vertical_high:
-                    first = bisect_left(uppers, ratio)
-                else:
-                    first = bisect_left(negated_lowers, -ratio)
+                elif count > 1:
+                    first = (
+                        bisect_left(uppers, ratio) if label is vertical_high
+                        else bisect_left(negated_lowers, -ratio)
+                    )
         yield flow, trade_type, amount, ratio, reason, label, first
 
 
@@ -353,8 +354,8 @@ def _decompose(
     each in member order, as in a decomposition of its own; all the reports
     share one details tuple. Returns the reports and the pass's members.
     """
+    total = _group_total(group)
     members = list(_members(group, methods, type_method))
-    total = group.total_trade  # finite, or the pass would have raised
     iit = unclassified = 0.0
     for _, _, amount, _, reason, _, _ in members:
         iit += amount

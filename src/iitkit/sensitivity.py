@@ -28,6 +28,7 @@ from iitkit.differentiation import (
     _CsvTable,
     _csv_text,
     _decompose,
+    _group_total,
     _members,
     _plain,
 )
@@ -198,6 +199,7 @@ def sweep_flips(
     """The flip points of `alpha_sweep` alone, from the same pass; raises as it does."""
     alphas = _validate_alphas(alphas)
     methods = [DifferentiationMethod(family, a) for a in alphas]
+    _group_total(group)
     return SweepFlips(group.group_id, _flips(alphas, _members(group, methods, type_method)))
 
 
@@ -246,6 +248,7 @@ def nature_transitions(
     lines = []
     for period in periods:
         # Match on (reporter, partner, industry_code); period differs by design.
+        _group_total(by_period[period])
         members = _members(by_period[period], methods, type_method)
         lines.append({
             flow.key[1:]: (flow.key, ratio, label) for flow, _, _, ratio, _, label, _ in members

@@ -21,7 +21,8 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, groupby
+from operator import attrgetter
 from typing import IO, Iterable, Iterator, NamedTuple
 
 EXPECTED_HEADER = (
@@ -353,32 +354,50 @@ def apply_grouping(
 
     Codes absent from `mapping` fall back per `policy`: "own-code" makes each
     unmapped industry its own group, "drop" removes it, "strict" raises
-    UnmappedCodeError listing every offending code.
+    UnmappedCodeError listing every offending code. Groups come in order of
+    (period, reporter, partner, group_id); a group's members keep their
+    order in `flows`.
+    """
+    return list(_groups(_group_order(flows, mapping, policy), mapping))
+
+
+def _group_order(
+    flows: Iterable[IndustryFlow], mapping: dict[str, str] | None, policy: str
+) -> list[IndustryFlow]:
+    """The flows `apply_grouping` keeps, in its order; raises what it raises.
+
+    Stable sorts on group_id, then partner, reporter and period leave the
+    flows ordered by (period, reporter, partner, group_id), ties in their
+    order in `flows`. Each sort is keyed on a string the flow or the map
+    already holds: one sort on a tuple key would build a tuple per flow,
+    all alive at once.
     """
     if policy not in GROUP_POLICIES:
         raise ValueError(f"unknown grouping policy {policy!r}, expected one of {GROUP_POLICIES}")
     mapping = mapping or {}
-
-    flows = list(flows)
+    if policy == "drop":
+        flows = (flow for flow in flows if flow.key.industry_code in mapping)
+    get = mapping.get
+    ordered = sorted(flows, key=lambda flow: get(flow.key.industry_code, flow.key.industry_code))
     if policy == "strict":
-        missing = sorted({f.key.industry_code for f in flows} - mapping.keys())
+        missing = sorted({flow.key.industry_code for flow in ordered} - mapping.keys())
         if missing:
             raise UnmappedCodeError(missing)
+    for field in ("partner", "reporter", "period"):
+        ordered.sort(key=attrgetter(f"key.{field}"))
+    return ordered
 
-    buckets: dict[tuple[str, str, str, str], list[IndustryFlow]] = {}
-    for flow in flows:
-        code = flow.key.industry_code
-        group_id = mapping.get(code)
-        if group_id is None:
-            if policy == "drop":
-                continue
-            group_id = code  # own-code fallback
-        buckets.setdefault((*flow.key[:3], group_id), []).append(flow)
 
-    return [
-        IndustryGroup(group_id, tuple(members))
-        for (_, _, _, group_id), members in sorted(buckets.items())
-    ]
+def _groups(ordered: Iterable[IndustryFlow], mapping: dict[str, str] | None) -> Iterator[IndustryGroup]:
+    """The groups of flows in `_group_order`, each built only when it is asked for."""
+    get = (mapping or {}).get
+
+    def group_key(flow: IndustryFlow) -> tuple[str, str, str, str]:
+        period, reporter, partner, code = flow.key
+        return period, reporter, partner, get(code, code)  # own-code fallback
+
+    for (_, _, _, group_id), members in groupby(ordered, group_key):
+        yield IndustryGroup(group_id, tuple(members))
 
 
 def read_grouping_map(source: IO[bytes] | IO[str] | Iterable[str]) -> dict[str, str]:

@@ -19,6 +19,7 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import iitkit
 import iitkit.cli as cli
+import iitkit.trade_data as trade_data
 from iitkit.cli import main
 from iitkit.datasets import example_flows_path, example_panel_path
 from iitkit.differentiation import (
@@ -39,7 +40,13 @@ from iitkit.sensitivity import (
     alpha_sweep,
     nature_transitions,
 )
-from iitkit.trade_data import FlowKey, apply_grouping, read_flows, read_grouping_map
+from iitkit.trade_data import (
+    FlowKey,
+    IndustryGroup,
+    apply_grouping,
+    read_flows,
+    read_grouping_map,
+)
 
 HEADER = "period,reporter,partner,industry_code,export_value,import_value,export_qty,import_qty,qty_unit"
 
@@ -161,12 +168,15 @@ class TestCompute:
     def test_strict_policy_unmapped_exits_2(self, flows_csv, tmp_path, capsys):
         gmap = tmp_path / "map.csv"
         gmap.write_text("industry_code,group_id\n000001,G\n")
-        code = run(
-            "compute", "--input", flows_csv, "--group-map", gmap,
-            "--group-policy", "strict",
-        )
-        assert code == 2
-        assert "000002" in capsys.readouterr().err
+        for command in ("compute", "sweep"):
+            for fmt in ("json", "csv"):
+                code = run(
+                    command, "--input", flows_csv, "--group-map", gmap,
+                    "--group-policy", "strict", "--format", fmt,
+                )
+                assert (code, *capsys.readouterr()) == (
+                    2, "", "error: unmapped industry codes under strict policy: 000002\n"
+                )
 
     def test_unwritable_output_exits_1(self, flows_csv, tmp_path, capsys):
         out = tmp_path / "missing" / "report.json"
@@ -1020,6 +1030,35 @@ class TestOneRecordAtATime:
 
         real = getattr(cli, name)
         monkeypatch.setattr(cli, name, counted)
+        assert run(command, "--input", table, "--format", fmt) == 0
+        capsys.readouterr()
+        assert 1 <= peak <= 2
+
+    @pytest.mark.parametrize("command", ["compute", "sweep"])
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_groups_streamed_not_listed(self, tmp_path, monkeypatch, capsys, command, fmt):
+        """The group being built and the one last checked or written; 120 one-member groups."""
+        table = tmp_path / "flows.csv"
+        table.write_text(HEADER + "\n" + "".join(
+            f"2020,FRA,DEU,{code},116,100,100,100,kg\n" for code in range(120)
+        ))
+        alive = peak = 0
+
+        def dead():
+            nonlocal alive
+            alive -= 1
+
+        class Counted(IndustryGroup):
+            __slots__ = ("__weakref__",)  # IndustryGroup's slots leave no room for a weakref
+
+            def __post_init__(self):
+                nonlocal alive, peak
+                super().__post_init__()
+                weakref.finalize(self, dead)
+                alive += 1
+                peak = max(peak, alive)
+
+        monkeypatch.setattr(trade_data, "IndustryGroup", Counted)
         assert run(command, "--input", table, "--format", fmt) == 0
         capsys.readouterr()
         assert 1 <= peak <= 2

@@ -5,7 +5,7 @@ import random
 import tracemalloc
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from iitkit.trade_data import (
     FlowKey,
@@ -359,6 +359,60 @@ class TestApplyGrouping:
         groups = apply_grouping(flows, {"1": "G1"})
         assert len(groups) == 2
         assert {g.snapshot[0] for g in groups} == {"2020", "2021"}
+
+
+def _bucket_grouping(flows, mapping, policy):
+    """apply_grouping as a dict of buckets, sorted by key at the end: the oracle."""
+    if policy == "strict":
+        missing = sorted({f.key.industry_code for f in flows} - mapping.keys())
+        if missing:
+            raise UnmappedCodeError(missing)
+    buckets = {}
+    for flow in flows:
+        group_id = mapping.get(flow.key.industry_code)
+        if group_id is None:
+            if policy == "drop":
+                continue
+            group_id = flow.key.industry_code
+        buckets.setdefault((*flow.key[:3], group_id), []).append(flow)
+    return [IndustryGroup(key[3], tuple(members)) for key, members in sorted(buckets.items())]
+
+
+_CODES = ["1", "2", "3", "10"]
+
+
+@st.composite
+def _flows_and_maps(draw):
+    """Flows over 2 periods x 2 partners, in drawn order, each with its own export value.
+
+    A key may repeat, and a map may send a code to a group named by another code.
+    """
+    keys = draw(st.lists(st.tuples(
+        st.sampled_from(["2021", "2020"]), st.just("FRA"),
+        st.sampled_from(["USA", "DEU"]), st.sampled_from(_CODES),
+    ), max_size=24))
+    flows = [IndustryFlow(FlowKey(*key), float(i + 1), 1.0) for i, key in enumerate(keys)]
+    mapping = draw(st.dictionaries(st.sampled_from(_CODES), st.sampled_from(["G", *_CODES])))
+    return flows, mapping
+
+
+@given(_flows_and_maps(), st.sampled_from(["own-code", "strict", "drop"]))
+# Code 1 is mapped to group 2 and code 2 is not, so own-code puts both in group 2.
+@example(([
+    IndustryFlow(FlowKey("2020", "FRA", "DEU", code), value, 1.0)
+    for code, value in (("2", 1.0), ("1", 2.0), ("2", 3.0), ("3", 4.0))
+], {"1": "2"}), "own-code")
+def test_grouping_matches_the_bucket_oracle(flows_and_map, policy):
+    """Same groups, in the same order, with their members in the same order."""
+    flows, mapping = flows_and_map
+    try:
+        expected = _bucket_grouping(flows, mapping, policy)
+    except UnmappedCodeError as exc:
+        with pytest.raises(UnmappedCodeError) as raised:
+            apply_grouping(iter(flows), mapping, policy)
+        assert raised.value.codes == exc.codes
+        return
+    assert apply_grouping(iter(flows), mapping, policy) == expected
 
 
 def test_group_total_is_a_left_fold():
