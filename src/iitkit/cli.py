@@ -18,6 +18,7 @@ import math
 import os
 import shutil
 import sys
+from itertools import chain
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import BinaryIO, Callable, Iterable, Iterator, TypeVar
@@ -188,18 +189,37 @@ def _load_groups(args: argparse.Namespace, group: Callable[..., _T]) -> _T:
         raise DataError(str(exc)) from exc
 
 
+def _table_total(flows: Iterable[IndustryFlow]) -> float:
+    """The flows' trade as a left fold; raises OverflowError on a unit-value ratio out of range.
+
+    Float sums of nonnegative values only grow along a sequence, so a finite
+    fold bounds the fold of any subsequence, such as a group's members, as
+    IndustryGroup.total_trade folds them; not so the compensated sum() of 3.12.
+    """
+    total = 0.0
+    for flow in flows:
+        _unit_values(flow)
+        total += flow.total_trade
+    return total
+
+
+def _sound(flows: Iterable[IndustryFlow]) -> bool:
+    """Whether `_table_total` proves that no group of `flows` fails `_check_group`."""
+    try:
+        return _table_total(flows) < math.inf
+    except OverflowError:
+        return False
+
+
 def _checked_stream(
     flows: tuple[IndustryFlow, ...], mapping: dict[str, str] | None, policy: str
-) -> Callable[[], Iterator[IndustryGroup]]:
-    """Check the groups in order, then return a function that streams them anew.
-
-    The flows are put in group order once; each walk builds one group at a
-    time from them, so neither holds a list of groups.
-    """
-    groups = functools.partial(_groups, _group_order(flows, mapping, policy), mapping)
-    for group in groups():
-        _check_group(group)
-    return groups
+) -> Iterator[IndustryGroup]:
+    """The groups in order, each built when asked for; first all checked unless `_sound(flows)`."""
+    ordered = _group_order(flows, mapping, policy)
+    if not _sound(flows):
+        for group in _groups(ordered, mapping):
+            _check_group(group)
+    return _groups(ordered, mapping)
 
 
 def _type_method(args: argparse.Namespace) -> TradeTypeMethod:
@@ -336,17 +356,17 @@ def _write_report(
     return EXIT_OK
 
 
-# Each runner first checks every group it will decompose, in the order it
-# decomposes them, so the first data error is raised, with its message,
-# before the report's first byte. The records are then built one at a time
-# as the report is written; compute and sweep build each group anew for it.
+# Each runner first proves the table sound with `_sound`, or else checks every
+# group it will decompose, in the order it decomposes them, so the first data
+# error is raised, with its message, before the report's first byte. The
+# records are then built one at a time as the report is written.
 
 
 def _run_compute(args: argparse.Namespace) -> int:
     groups = _load_groups(args, _checked_stream)
     method = DifferentiationMethod(args.family, args.alpha)
     type_method = _type_method(args)
-    reports = (decompose_shares(g, method, type_method) for g in groups())
+    reports = (decompose_shares(g, method, type_method) for g in groups)
     return _write_report(args, "reports", reports, _shares_table)
 
 
@@ -355,7 +375,7 @@ def _run_sweep(args: argparse.Namespace) -> int:
     type_method = _type_method(args)
     # A CSV report holds only the flips, so it builds no share tables.
     sweep = sweep_flips if args.format == "csv" else alpha_sweep
-    sweeps = (sweep(g, args.alphas, args.family, type_method) for g in groups())
+    sweeps = (sweep(g, args.alphas, args.family, type_method) for g in groups)
     return _write_report(args, "sweeps", sweeps, _flips_table)
 
 
@@ -374,9 +394,10 @@ def _run_transitions(args: argparse.Namespace) -> int:
         _, reporter, partner = group.snapshot
         panels.setdefault((reporter, partner, group.group_id), []).append(group)
     panel_series = [series for _, series in sorted(panels.items()) if len(series) > 1]
-    for series in panel_series:  # nature_transitions takes the periods in natural order
-        for group in sorted(series, key=lambda g: _period_order(g.snapshot[0])):
-            _check_group(group)
+    if not _sound(chain.from_iterable(g.members for g in groups)):
+        for series in panel_series:  # nature_transitions takes the periods in natural order
+            for group in sorted(series, key=lambda g: _period_order(g.snapshot[0])):
+                _check_group(group)
     reports = (
         nature_transitions(series, args.alpha, args.family, type_method)
         for series in panel_series
@@ -389,17 +410,9 @@ def _run_transitions(args: argparse.Namespace) -> int:
 
 def _run_validate(args: argparse.Namespace) -> int:
     cleaned = _read(args.input, "input file", read_flows)
-    # The reports also form each key's unit-value ratio and sum each group's
-    # trade. A group's members are a subsequence of its snapshot's flows, and
-    # float sums of nonnegative values only grow along a sequence, so a finite
-    # snapshot total bounds every group's, and a finite total of the whole
-    # table bounds every snapshot's.
-    # A plain left fold, as IndustryGroup.total_trade is: the bound above
-    # holds only for a fold, not for the compensated sum() of Python 3.12.
-    table_total = 0.0
-    for flow in cleaned.flows:
-        _unit_values(flow)  # raises OverflowError on a ratio out of the float range
-        table_total += flow.total_trade
+    # The reports also form each ratio and fold each group's trade, which a finite
+    # snapshot total bounds, as a finite table total bounds every snapshot's.
+    table_total = _table_total(cleaned.flows)
     if table_total == math.inf:
         totals: dict[tuple[str, str, str], float] = {}
         for flow in cleaned.flows:

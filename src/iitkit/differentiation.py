@@ -289,8 +289,8 @@ def _check_group(group: IndustryGroup) -> None:
     """Raise the error `_decompose` would raise on `group`, if any.
 
     `_decompose` checks the total first, then forms each member's ratio in
-    member order; nothing else it does can fail on a group `read_flows`
-    and `apply_grouping` built.
+    member order; nothing else it does can fail on a group `read_flows` and
+    `apply_grouping` built. The CLI calls it only where `cli._sound` fails.
     """
     _group_total(group)
     for member in group.members:

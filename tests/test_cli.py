@@ -28,6 +28,7 @@ from iitkit.differentiation import (
     IndustryDetail,
     SharesReport,
     UnclassifiableReason,
+    _check_group,
     decompose_shares,
 )
 from iitkit.indices import TradeType, TradeTypeMethod
@@ -41,8 +42,10 @@ from iitkit.sensitivity import (
     nature_transitions,
 )
 from iitkit.trade_data import (
+    GROUP_POLICIES,
     FlowKey,
     IndustryGroup,
+    UnmappedCodeError,
     apply_grouping,
     read_flows,
     read_grouping_map,
@@ -1042,23 +1045,95 @@ class TestOneRecordAtATime:
         table.write_text(HEADER + "\n" + "".join(
             f"2020,FRA,DEU,{code},116,100,100,100,kg\n" for code in range(120)
         ))
-        alive = peak = 0
-
-        def dead():
-            nonlocal alive
-            alive -= 1
-
-        class Counted(IndustryGroup):
-            __slots__ = ("__weakref__",)  # IndustryGroup's slots leave no room for a weakref
-
-            def __post_init__(self):
-                nonlocal alive, peak
-                super().__post_init__()
-                weakref.finalize(self, dead)
-                alive += 1
-                peak = max(peak, alive)
-
-        monkeypatch.setattr(trade_data, "IndustryGroup", Counted)
+        counts = _count_groups(monkeypatch)
         assert run(command, "--input", table, "--format", fmt) == 0
         capsys.readouterr()
-        assert 1 <= peak <= 2
+        assert 1 <= counts["peak"] <= 2
+
+    @pytest.mark.parametrize("command", ["compute", "sweep"])
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    # Code 0 trades 1e308 in both snapshots: the table's total overflows, no group's does.
+    @pytest.mark.parametrize("value, walks", [("116", 1), ("1e308", 2)])
+    def test_each_group_built_once_on_a_sound_table(
+        self, tmp_path, monkeypatch, capsys, command, fmt, value, walks
+    ):
+        """40 groups of 3 over 2 snapshots, checked in a walk of their own
+        only when the flat pass cannot prove the table."""
+        table, group_map = tmp_path / "flows.csv", tmp_path / "map.csv"
+        table.write_text(HEADER + "\n" + "".join(
+            f"2020,FRA,{partner},{code},{value if code == 0 else 116},100,100,100,kg\n"
+            for partner in ("DEU", "USA") for code in range(60)
+        ))
+        group_map.write_text("industry_code,group_id\n" + "".join(
+            f"{code},G{code // 3}\n" for code in range(60)
+        ))
+        counts = _count_groups(monkeypatch)
+        assert run(command, "--input", table, "--group-map", group_map, "--format", fmt) == 0
+        capsys.readouterr()
+        assert counts["built"] == 40 * walks
+        assert 1 <= counts["peak"] <= 2
+
+
+def _count_groups(monkeypatch) -> dict[str, int]:
+    """Swap in an IndustryGroup that counts the groups built, alive, and most alive at once."""
+    counts = {"built": 0, "alive": 0, "peak": 0}
+
+    def dead():
+        counts["alive"] -= 1
+
+    class Counted(IndustryGroup):
+        __slots__ = ("__weakref__",)  # IndustryGroup's slots leave no room for a weakref
+
+        def __post_init__(self):
+            super().__post_init__()
+            weakref.finalize(self, dead)
+            counts["built"] += 1
+            counts["alive"] += 1
+            counts["peak"] = max(counts["peak"], counts["alive"])
+
+    monkeypatch.setattr(trade_data, "IndustryGroup", Counted)
+    return counts
+
+
+_HUGE = st.sampled_from(["0", "116", "1e300", "5e307", "8e307", "1e308"])
+# One row per key: a key's total is its row's, and the table's total may overflow.
+_HUGE_ROWS = st.dictionaries(
+    st.tuples(
+        st.sampled_from(["2020", "2021"]),
+        st.sampled_from(["DEU", "USA"]),
+        st.sampled_from(["1", "2", "3", "4", "5"]),
+    ),
+    st.tuples(_HUGE, _HUGE, st.sampled_from([",,", "100,100,kg", "1e-10,1e-300,kg"])),
+    min_size=1, max_size=14,
+).map(lambda rows: "".join(
+    f"{period},FRA,{partner},{code},{','.join(cells)}\n"
+    for (period, partner, code), cells in rows.items()
+))
+
+
+@settings(max_examples=300)
+@given(body=_HUGE_ROWS, mapping=st.one_of(
+    st.just({"1": "G", "2": "G", "3": "G", "4": "H"}),
+    st.dictionaries(st.sampled_from("1234"), st.sampled_from("GH1")),
+))
+# The table's total is 1.6e308, each snapshot's 8e307.
+@example(
+    body="2020,FRA,DEU,1,8e307,0,100,100,kg\n2020,FRA,USA,1,0,8e307,100,100,kg\n",
+    mapping={"1": "G"},
+)
+def test_sound_table_fails_no_group_check(body, mapping):
+    """Whenever the flat pass finds no fault, no group fails `_check_group`,
+    under every grouping policy."""
+    try:
+        flows = read_flows(io.StringIO(f"{HEADER}\n{body}")).flows
+    except OverflowError:  # a row's export and import sum past the float range
+        return
+    if not cli._sound(flows):
+        return
+    for policy in GROUP_POLICIES:
+        try:
+            groups = apply_grouping(flows, mapping, policy)
+        except UnmappedCodeError:
+            continue
+        for group in groups:
+            _check_group(group)

@@ -1,6 +1,7 @@
 import csv
 import gc
 import io
+import math
 import random
 import tracemalloc
 
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from iitkit.trade_data import (
+    CleanResult,
     FlowKey,
     FlowParseError,
     IndustryFlow,
@@ -15,6 +17,7 @@ from iitkit.trade_data import (
     UnitConflictError,
     UnmappedCodeError,
     _table,
+    _validated_rows,
     apply_grouping,
     read_flows,
     read_grouping_map,
@@ -249,6 +252,103 @@ class TestPairAndClean:
         )
 
 
+def _reference_merge(rows):
+    """read_flows' merge as a dict of row lists, each folded at the end: the oracle.
+
+    A unit conflict is raised as its row arrives, so before any later row's fault.
+    """
+    keys: dict = {}
+    rows_read = 0
+    for key, xv, mv, xq, mq, unit in rows:
+        rows_read += 1
+        seen = keys.setdefault(key, [])
+        known = next((row[4] for row in seen if row[4] is not None), None)
+        if None not in (unit, known) and unit != known:
+            raise UnitConflictError(FlowKey(*key), (known, unit))
+        seen.append((xv, mv, xq, mq, unit))
+    flows, dropped = [], 0
+    for key, seen in keys.items():
+        sums = []
+        for column in range(4):
+            cells = [row[column] for row in seen]
+            total = 0.0
+            for cell in cells:
+                total += cell if cell is not None else 0.0
+            sums.append(None if None in cells else total)
+        xv, mv, xq, mq = sums
+        if xv == 0 and mv == 0:
+            dropped += 1
+            continue
+        if math.inf in (xv + mv, xq, mq):
+            raise OverflowError(f"trade or volume total of key {key} exceeds the float range")
+        unit = next((row[4] for row in seen if row[4] is not None), None)
+        flows.append(IndustryFlow(FlowKey(*key), xv, mv, xq, mq, unit))
+    return tuple(flows), dropped, rows_read
+
+
+_MERGE_VALUE = st.one_of(
+    st.sampled_from(["0", "0", "1", "2.5", "1e-300", "8e307", "1e308"]),
+    st.floats(0, 1e6).map(repr),
+)
+_MERGE_FAULTS = ["2020,FRA,DEU,1,-1,0,,,", "2020,FRA,DEU,1,1,1,5,,", "2020,FRA,,1,1,1,,,"]
+
+
+@st.composite
+def _merge_tables(draw) -> str:
+    """Up to 14 rows over 6 keys, quantities only beside a unit, at most one faulty row."""
+    rows = []
+    for _ in range(draw(st.integers(0, 14))):
+        unit = draw(st.sampled_from(["", "kg", "unit"]))
+        qty = st.one_of(st.just(""), _MERGE_VALUE) if unit else st.just("")
+        rows.append(",".join([
+            draw(st.sampled_from(["2020", "2021"])), "FRA", "DEU",
+            draw(st.sampled_from(["1", "2", "3"])),
+            draw(_MERGE_VALUE), draw(_MERGE_VALUE), draw(qty), draw(qty), unit,
+        ]))
+    fault = draw(st.none() | st.integers(0, len(rows)))
+    if fault is not None:
+        rows.insert(fault, draw(st.sampled_from(_MERGE_FAULTS)))
+    return "".join(f"{row}\n" for row in rows)
+
+
+def _outcome(merge):
+    """The merge's (flows, dropped, rows_read), or its exception's type and message."""
+    try:
+        return merge()
+    except (FlowParseError, UnitConflictError, OverflowError) as exc:
+        return type(exc), str(exc)
+
+
+@given(_merge_tables())
+@settings(max_examples=300)
+@example("2020,FRA,DEU,1,0,0,,,\n2020,FRA,DEU,2,1e308,0,,,\n2020,FRA,DEU,1,0,0,1,1,kg\n")
+@example("2020,FRA,DEU,1,1e308,5,1,,kg\n2020,FRA,DEU,2,1,1,,,\n2020,FRA,DEU,1,8e307,5,1,,kg\n")
+def test_merge_matches_the_reference(body):
+    """Same flows, drops and rows read, or the same first error."""
+    result = _outcome(lambda: read_flows(io.StringIO(f"{HEADER}\n{body}")))
+    if isinstance(result, CleanResult):
+        result = result.flows, result.dropped_zero_trade, result.rows_read
+    assert result == _outcome(
+        lambda: _reference_merge(_validated_rows(io.StringIO(f"{HEADER}\n{body}")))
+    )
+
+
+@pytest.mark.parametrize("body, error", [
+    # A unit conflict at row 3, a negative value at row 5.
+    ("2020,FRA,DEU,1,1,1,1,1,kg\n2020,FRA,DEU,1,1,1,1,1,unit\n"
+     "2020,FRA,DEU,2,1,1,,,\n2020,FRA,DEU,2,-1,1,,,\n", UnitConflictError),
+    # A negative value at row 3, a unit conflict at row 5.
+    ("2020,FRA,DEU,1,1,1,1,1,kg\n2020,FRA,DEU,2,-1,1,,,\n"
+     "2020,FRA,DEU,2,1,1,,,\n2020,FRA,DEU,1,1,1,1,1,unit\n", FlowParseError),
+])
+def test_first_fault_in_row_order_wins_between_merge_and_parse(body, error):
+    with pytest.raises(error) as exc:
+        parse(f"{HEADER}\n{body}")
+    assert _outcome(
+        lambda: _reference_merge(_validated_rows(io.StringIO(f"{HEADER}\n{body}")))
+    ) == (error, str(exc.value))
+
+
 class TestReadFlows:
     def test_key_order_drops_and_rows_read(self):
         raw = (
@@ -308,17 +408,34 @@ class TestSharedStrings:
                 assert first.setdefault(value, value) is value
         assert "kg" in first and None in first
 
+    @pytest.fixture(scope="class")
+    def repeated(self, table) -> bytes:
+        """`table` followed by 80% of its rows again: 1.8 rows per key."""
+        header, *rows = table.decode().splitlines(keepends=True)
+        rng = random.Random(2)
+        return (header + "".join(rows) + "".join(r for r in rows if rng.random() < 0.8)).encode()
+
     def test_peak_memory_per_key(self, table):
-        # Each flow costs about 360 B at the peak; a copy of each key's
-        # strings (about 53 B apiece) or of the merged table exceeds the bound.
-        source = io.BytesIO(table)
-        tracemalloc.start()
-        try:
-            result = read_flows(source)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak / len(result.flows) < 500
+        # Each flow costs about 300 B at the peak. A merge slot alive beside
+        # its flow (about 60 B), a copy of each key's strings (about 53 B
+        # apiece) or of the merged table exceeds the bound.
+        assert _peak_per_flow(table) < 340
+
+    def test_peak_memory_per_key_repeated(self, repeated):
+        # A repeated row replaces its key's slot: the slots do not grow.
+        assert _peak_per_flow(repeated) < 340
+
+
+def _peak_per_flow(table: bytes) -> float:
+    """read_flows' traced peak memory over the table, per merged flow."""
+    source = io.BytesIO(table)
+    tracemalloc.start()
+    try:
+        result = read_flows(source)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak / len(result.flows)
 
 
 class TestApplyGrouping:
