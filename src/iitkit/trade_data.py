@@ -5,10 +5,12 @@ Input tables are UTF-8 comma-separated files with the mandatory header
     period,reporter,partner,industry_code,export_value,import_value,export_qty,import_qty,qty_unit
 
 Lines end at LF, CRLF or a bare CR, and a byte-order mark at the very start
-is ignored. A binary stream is decoded one line at a time, as the csv reader
-asks for it, so the first fault in row order is the one reported, whether it
-is a bad value or a byte that is not UTF-8. The caller's stream is never
-closed or seeked.
+is ignored. A binary flow table is read in blocks of whole lines, about 16 KiB
+each; a block of plain lines is split and checked a column at a time, and from
+the first block that holds a quote, a line the checks refuse or a byte that is
+not UTF-8, the rest of the table is read a row at a time through the csv
+reader. Either way the first fault in row order is the one reported, with the
+same message and row number. The caller's stream is never closed or seeked.
 
 Empty quantity/unit cells mean "not reported". Records sharing a
 (period, reporter, partner, industry_code) key are merged by summation;
@@ -21,8 +23,8 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from itertools import chain, groupby
-from operator import attrgetter
+from itertools import chain, compress, groupby
+from operator import attrgetter, not_
 from typing import IO, Iterable, Iterator, NamedTuple
 
 EXPECTED_HEADER = (
@@ -64,10 +66,18 @@ class UnitConflictError(ValueError):
 
 
 class UnmappedCodeError(ValueError):
-    """Industry codes missing from the grouping map under the strict policy."""
+    """Industry codes missing from the grouping map under the strict policy.
+
+    `codes` holds every one; past ten, the message gives their count and
+    the first ten in sorted order, so that it stays one short line.
+    """
 
     def __init__(self, codes: list[str]):
-        super().__init__(f"unmapped industry codes under strict policy: {', '.join(codes)}")
+        named = (
+            ", ".join(codes) if len(codes) <= 10
+            else f"{len(codes)} codes, the first 10: {', '.join(sorted(codes)[:10])}"
+        )
+        super().__init__(f"unmapped industry codes under strict policy: {named}")
         self.codes = codes
 
 
@@ -165,48 +175,75 @@ def _parse_optional_value(cell: str, column: str, row_number: int) -> float | No
     return _parse_value(cell, column, row_number)
 
 
-def _lines(binary: IO[bytes]) -> Iterator[str]:
-    """The lines of `binary`, each decoded as UTF-8 only when it is asked for.
+_BLOCK = 1 << 14  # bytes a read asks for; larger blocks read no faster and hold more at once
 
-    Lines end as a text stream opened with newline="" ends them, and keep
-    their ending. Each read takes at least as many bytes as the partial line
-    carried over, so a long line costs time linear in its length.
+
+def _blocks(binary: IO[bytes]) -> Iterator[bytes]:
+    """The bytes of `binary` in blocks of whole lines, about `_BLOCK` bytes each.
+
+    Lines end as a text stream opened with newline="" ends them: at LF, CRLF
+    or a bare CR, and a CR at the end of a read waits for the next read, which
+    may begin with its LF. Only the last block may end inside a line. Each
+    read takes at least as many bytes as the partial line carried over, so a
+    long line costs time linear in its length.
     """
     rest = b""
-    while block := binary.read(max(len(rest), 1 << 16)):
-        lines = (rest + block).splitlines(keepends=True)
-        rest = lines.pop()
-        yield from map(bytes.decode, lines)
+    while chunk := binary.read(max(len(rest), _BLOCK)):
+        rest += chunk
+        cut = max(rest.rfind(b"\n"), rest.rfind(b"\r", 0, -1)) + 1
+        if cut:
+            yield rest[:cut]
+            rest = rest[cut:]
     if rest:
-        yield rest.decode()
+        yield rest
+
+
+def _lines(blocks: Iterable[bytes]) -> Iterator[str]:
+    """The lines of `blocks`, each decoded as UTF-8 only when it is asked for.
+
+    Lines keep their ending. A line that is not UTF-8 raises
+    UnicodeDecodeError only when it is reached, after every earlier line.
+    """
+    for block in blocks:
+        yield from map(bytes.decode, block.splitlines(keepends=True))
+
+
+def _is_binary(source: IO[bytes] | IO[str] | Iterable[str]) -> bool:
+    return hasattr(source, "read") and isinstance(source.read(0), bytes)
 
 
 def _table(
-    source: IO[bytes] | IO[str] | Iterable[str], header: tuple[str, ...]
+    source: IO[bytes] | IO[str] | Iterable[str], header: tuple[str, ...], row_number: int = 0
 ) -> Iterator[tuple[int, list[str]]]:
     """Check a CSV table's header, then yield (row number, fields) for each non-blank row.
 
-    `source` is a binary stream, decoded by `_lines`, or text. One U+FEFF
-    (the byte-order mark of "CSV UTF-8" exports) at the very start is
-    dropped; anywhere else it is data. Rows count from 1 at the header.
-    Raises FlowParseError naming the row at fault: a missing or wrong
-    header, a wrong number of fields, a record the csv module rejects (a
-    field past its size limit) or bytes that are not UTF-8.
+    `source` is a binary stream, read by `_blocks` and decoded by `_lines`,
+    or text. One U+FEFF (the byte-order mark of "CSV UTF-8" exports) at the
+    very start is dropped; anywhere else it is data. Rows count from 1 at
+    the header. A `row_number` above 0 says that `source` holds the rest of
+    a table whose header and rows up to that number were read: it has no
+    header, and its first row is numbered `row_number + 1`. Raises
+    FlowParseError naming the row at fault: a missing or wrong header, a
+    wrong number of fields, a record the csv module rejects (a field past
+    its size limit) or bytes that are not UTF-8.
     """
-    if hasattr(source, "read") and isinstance(source.read(0), bytes):
-        source = _lines(source)
+    if _is_binary(source):
+        source = _lines(_blocks(source))
     lines = iter(source)
-    row_number = 0
     try:
-        first = next(lines, None)
-        if first is None:
-            raise FlowParseError(1, "empty input, header row missing")
-        reader = csv.reader(chain((first.removeprefix("\ufeff"),), lines))
-        names = next(reader)
-        if tuple(name.strip() for name in names) != header:
-            raise FlowParseError(1, f"bad header {names!r}, expected {','.join(header)}")
-        row_number, width = 1, len(header)
-        for row_number, row in enumerate(reader, start=2):
+        if row_number:
+            reader = csv.reader(lines)
+        else:
+            first = next(lines, None)
+            if first is None:
+                raise FlowParseError(1, "empty input, header row missing")
+            reader = csv.reader(chain((first.removeprefix("\ufeff"),), lines))
+            names = next(reader)
+            if tuple(name.strip() for name in names) != header:
+                raise FlowParseError(1, f"bad header {names!r}, expected {','.join(header)}")
+            row_number = 1
+        width = len(header)
+        for row_number, row in enumerate(reader, start=row_number + 1):
             if not row:
                 continue  # tolerate a trailing blank line
             if len(row) != width:
@@ -217,14 +254,17 @@ def _table(
         raise FlowParseError(row_number + 1, reason) from None
 
 
-def _validated_rows(source: IO[bytes] | IO[str] | Iterable[str]) -> Iterator[_Row]:
+def _validated_rows(
+    source: IO[bytes] | IO[str] | Iterable[str], row_number: int = 0
+) -> Iterator[_Row]:
     """Validate each data row of a flow table and yield it as a plain tuple.
 
-    Raises FlowParseError with the offending 1-based row number on any
-    malformed row.
+    `source` and `row_number` are as `_table` takes them. Raises
+    FlowParseError with the offending 1-based row number on any malformed
+    row.
     """
     inf = math.inf
-    for row_number, row in _table(source, EXPECTED_HEADER):
+    for row_number, row in _table(source, EXPECTED_HEADER, row_number):
         period, reporter, partner, code, xv, mv, xq, mq, unit = row
         try:
             # Fast path: `not 0 <= v < inf` catches negatives, NaN and
@@ -323,6 +363,92 @@ def _merge(rows: Iterable[_Row]) -> CleanResult:
     return CleanResult(tuple(filter(None, acc.values())), dropped, rows_read)
 
 
+def _row_blocks(blocks: Iterator[bytes]) -> Iterator[Iterable[_Row]]:
+    """The validated rows of a binary flow table, one iterable per block of lines.
+
+    The header line goes through `_validated_rows`. Each later block is one
+    zip over its columns when `_block_rows` accepts it. The first block it
+    refuses, from its first line on, and every block after it go through
+    `_validated_rows` with the row number carried, so the row path reports
+    the first fault in row order with its usual message. A header holding a
+    quote may span lines: then the whole table takes the row path.
+    """
+    first = next(blocks, b"")
+    header = first.splitlines(keepends=True)[:1]
+    if not header or b'"' in header[0]:
+        yield _validated_rows(_lines(chain((first,), blocks)))
+        return
+    yield _validated_rows(_lines(header))  # checks the header, holds no row
+    limit, row_number = csv.field_size_limit(), 1
+    for block in filter(None, chain((first[len(header[0]):],), blocks)):
+        accepted = _block_rows(block, limit)
+        if accepted is None:
+            yield _validated_rows(_lines(chain((block,), blocks)), row_number)
+            return
+        lines, rows = accepted
+        row_number += lines
+        yield rows
+
+
+def _block_rows(block: bytes, limit: int) -> tuple[int, Iterator[_Row]] | None:
+    """A block of whole lines as (its line count, its rows as `_validated_rows` yields them).
+
+    The block is decoded and split once, and every check runs on a whole
+    column at a time, in C. None when the row path could read a line
+    otherwise than a split at each comma does (a quote, a NUL, a field of at
+    least the csv field size `limit`, bytes that are not UTF-8, a line that
+    is not nine fields, a blank one included) or would refuse one: an empty
+    key field, a value outside 0 <= v < inf or a quantity without a unit.
+    """
+    if b'"' in block or b"\0" in block:
+        return None
+    try:
+        text = block.decode()
+    except UnicodeDecodeError:
+        return None
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    if not text.endswith("\n"):
+        text += "\n"
+    # One split for the block: each line gives its fields, then a "\n" cell.
+    fields = text.replace("\n", ",\n,").split(",")
+    fields.pop()  # the empty cell after the last line
+    lines, width = text.count("\n"), len(EXPECTED_HEADER) + 1
+    if len(fields) != lines * width or fields[width - 1::width].count("\n") != lines:
+        return None
+    if len(text) >= limit and max(map(len, fields)) >= limit:
+        return None
+    period, reporter, partner, code, xv, mv, xq, mq, unit = (
+        fields[i::width] for i in range(width - 1)
+    )
+    if "" in period or "" in reporter or "" in partner or "" in code:
+        return None
+    try:
+        columns = [list(map(float, xv)), list(map(float, mv))]
+        for cells in xq, mq:  # an empty cell is a quantity not reported: None
+            columns.append(
+                list(map(float, cells)) if "" not in cells
+                else [float(cell) if cell else None for cell in cells]
+            )
+    except ValueError:
+        return None
+    for cells, column in zip((xv, mv, xq, mq), columns):
+        if "" in cells:
+            column = list(compress(column, cells))
+        total = sum(column)  # NaN if a value is; inf if one is, or if the values overflow
+        if total != total or not 0 <= min(column, default=0) or (
+            total == math.inf and max(column) == math.inf
+        ):
+            return None
+    if "" in unit:
+        unitless = list(map(not_, unit))
+        if any(compress(xq, unitless)) or any(compress(mq, unitless)):
+            return None
+    return lines, zip(
+        zip(period, reporter, partner, code), *columns, map({"": None}.get, unit, unit)
+    )
+
+
 def read_flows(source: IO[bytes] | IO[str] | Iterable[str]) -> CleanResult:
     """Parse, validate and merge a trade table in one pass.
 
@@ -334,10 +460,20 @@ def read_flows(source: IO[bytes] | IO[str] | Iterable[str]) -> CleanResult:
     a key whose records disagree on the volume unit and OverflowError on a
     key whose totals exceed the float range.
 
+    A binary stream is read in blocks of whole lines, about 16 KiB each. A
+    block whose every line passes the row checks is split and checked a
+    column at a time, and the merge draws its rows from a zip over the
+    columns. From the first block that does not, the rest of the table is
+    read a row at a time, so the first fault in row order, between a bad
+    row and a unit conflict too, is the one reported, with the same message
+    and row number as a text stream gives.
+
     Equal strings among the key fields and units of the flows are one shared
     object, and each flow takes its key's merge slot's memory, so a flow costs
     its numbers and its key: about 300 B at the peak, no string copies.
     """
+    if _is_binary(source):
+        return _merge(chain.from_iterable(_row_blocks(_blocks(source))))
     return _merge(_validated_rows(source))
 
 

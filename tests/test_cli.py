@@ -181,6 +181,21 @@ class TestCompute:
                     2, "", "error: unmapped industry codes under strict policy: 000002\n"
                 )
 
+    def test_many_unmapped_codes_give_one_short_line(self, tmp_path, capsys):
+        table, gmap = tmp_path / "flows.csv", tmp_path / "map.csv"
+        table.write_text(f"{HEADER}\n" + "".join(
+            f"2020,FRA,DEU,{code:06d},1,1,,,\n" for code in range(50_001)
+        ))
+        gmap.write_text("industry_code,group_id\n000000,G\n")
+        code = run("compute", "--input", table, "--group-map", gmap, "--group-policy", "strict")
+        out, err = capsys.readouterr()
+        assert (code, out) == (2, "")
+        assert len(err.encode()) < 1024
+        assert err == (
+            "error: unmapped industry codes under strict policy: 50000 codes, the first 10: "
+            + ", ".join(f"{code:06d}" for code in range(1, 11)) + "\n"
+        )
+
     def test_unwritable_output_exits_1(self, flows_csv, tmp_path, capsys):
         out = tmp_path / "missing" / "report.json"
         assert run("compute", "--input", flows_csv, "--output", out) == 1

@@ -16,6 +16,7 @@ from iitkit.trade_data import (
     IndustryGroup,
     UnitConflictError,
     UnmappedCodeError,
+    _BLOCK,
     _table,
     _validated_rows,
     apply_grouping,
@@ -152,6 +153,18 @@ class TestParseFlowRecords:
         assert exc.value.row_number == 2
         assert "field limit" in exc.value.reason
         assert stream.reads <= 20
+
+    def test_field_size_limit_read_at_call_time(self):
+        # No quote in the table, so only the limit sends row 3 to the csv reader.
+        raw = f"{HEADER}\n2020,FRA,DEU,1,1,1,,,\n2020,FRA,DEU,{'7' * 17},1,1,,,\n".encode()
+        limit = csv.field_size_limit(16)
+        try:
+            with pytest.raises(FlowParseError) as exc:
+                read_flows(io.BytesIO(raw))
+        finally:
+            csv.field_size_limit(limit)
+        assert (exc.value.row_number, exc.value.reason) == (3, "field larger than field limit (16)")
+        assert read_flows(io.BytesIO(raw)).rows_read == 2
 
 
 class _Pipe(io.BytesIO):
@@ -349,6 +362,73 @@ def test_first_fault_in_row_order_wins_between_merge_and_parse(body, error):
     ) == (error, str(exc.value))
 
 
+_ENDINGS = st.sampled_from([b"\n", b"\r\n", b"\r"])
+# Rows that the row path refuses, or reads otherwise than a split at each comma.
+_ODD_ROWS = [
+    b'"2020",FRA,DEU,1,5,1,,,',  # a quoted key field, its quotes not part of the key
+    b'2020,FRA,DEU,"1\n2",1,1,,,',  # a quoted field over two lines: one row
+    b"",  # a blank line, counted as a row and skipped
+    b"2020,FRA,DEU,\x00,1,1,,,",  # a NUL, which csv refuses before Python 3.11
+    b"2020,FRA,DEU,\xff,1,1,,,",  # not UTF-8
+    b"2020,FRA,DEU,1," + b"7" * 131_073 + b",1,,,",  # a field past csv's default limit
+    b"2020,FRA,DEU,1,1,1,,",  # eight fields
+    b"2020,FRA,DEU,1,1,1,,,,",  # ten fields
+    b"2020,FRA,DEU,1,,1,,,",  # an empty value
+    b"2020,FRA,DEU,1,nan,1,,,",
+    b"2020,FRA,DEU,1,1,1,inf,1,kg",
+    b"2020,FRA,DEU,1,1,1e999,,,",
+    *(fault.encode() for fault in _MERGE_FAULTS),
+]
+
+
+@st.composite
+def _block_tables(draw) -> bytes:
+    """`_merge_tables`' rows as bytes, with -0 values, mixed line endings and one odd row.
+
+    A padding row after the header may put the first read's block edge a
+    few bytes either side of the start of one of the rows, the odd one if
+    there is one.
+    """
+    value = st.one_of(_MERGE_VALUE, st.just("-0"))
+    rows = []
+    for _ in range(draw(st.integers(0, 14))):
+        unit = draw(st.sampled_from(["", "kg", "unit"]))
+        qty = st.one_of(st.just(""), value) if unit else st.just("")
+        rows.append(",".join([
+            draw(st.sampled_from(["2020", "2021"])), "FRA", "DEU",
+            draw(st.sampled_from(["1", "2", "3"])),
+            draw(value), draw(value), draw(qty), draw(qty), unit,
+        ]).encode())
+    at = draw(st.integers(0, len(rows)))
+    odd = draw(st.none() | st.sampled_from(_ODD_ROWS))
+    if odd is not None:
+        rows.insert(at, odd)
+    lines = [row + draw(_ENDINGS) for row in rows]
+    if lines and draw(st.booleans()):
+        lines[-1] = rows[-1]  # the last line has no ending
+    head = HEADER.encode() + draw(_ENDINGS)
+    shift = draw(st.none() | st.integers(-40, 8))
+    if shift is not None:
+        prefix, suffix = b"2020,FRA,DEU,", b",1,1,,,\n"
+        start = _BLOCK + shift  # where row `at` starts
+        pad = start - len(head) - len(prefix) - len(suffix) - sum(map(len, lines[:at]))
+        head += prefix + b"p" * pad + suffix
+    return head + b"".join(lines)
+
+
+@given(_block_tables())
+@settings(max_examples=400)
+@example(f"{HEADER}\n".encode() + b"2020,FRA,DEU,1,1,1,,,\n" * 1000 + b"2020,FRA,DEU,1,-0,1,1,,\n")
+@example(f"{HEADER}\n2020,FRA,DEU,1,1,1,,,,\n".encode())
+@example(f"{HEADER}\n1,1,1,1,1,1,1,1\n1,1,1,1,1,1,1,1,1,1\n".encode())
+def test_blocks_match_the_row_path(raw):
+    """A binary table read in blocks gives what the row path gives: flows, tallies or first error."""
+    result = _outcome(lambda: read_flows(io.BytesIO(raw)))
+    if isinstance(result, CleanResult):
+        result = result.flows, result.dropped_zero_trade, result.rows_read
+    assert result == _outcome(lambda: _reference_merge(_validated_rows(io.BytesIO(raw))))
+
+
 class TestReadFlows:
     def test_key_order_drops_and_rows_read(self):
         raw = (
@@ -457,6 +537,15 @@ class TestApplyGrouping:
         with pytest.raises(UnmappedCodeError) as exc:
             apply_grouping(self._flows(), {"1": "G1"}, policy="strict")
         assert exc.value.codes == ["2", "3"]
+
+    def test_unmapped_code_message_names_the_first_ten(self):
+        codes = [f"{code:02d}" for code in range(30, 0, -1)]
+        exc = UnmappedCodeError(codes)
+        assert exc.codes == codes
+        assert str(exc) == (
+            "unmapped industry codes under strict policy: 30 codes, the first 10: "
+            "01, 02, 03, 04, 05, 06, 07, 08, 09, 10"
+        )
 
     def test_drop_policy(self):
         groups = apply_grouping(self._flows(), {"1": "G1"}, policy="drop")
@@ -627,10 +716,11 @@ def _csv_line(cells: list[str], ending: str) -> str:
 
 @st.composite
 def _byte_tables(draw) -> bytes:
-    """A CSV table with mixed line endings, some over 64 KiB.
+    """A CSV table with mixed line endings, some longer than the first read.
 
-    In those, a first data row of padding puts the 64 KiB block edge a few
-    bytes before or after its end, among the short rows that follow.
+    In those, a first data row of padding puts the edge of the first read, at
+    `_BLOCK` bytes, a few bytes before or after its end, among the short rows
+    that follow.
     """
     width = draw(st.integers(1, 3))
     header = [f"c{i}" for i in range(width)]
@@ -638,7 +728,7 @@ def _byte_tables(draw) -> bytes:
     text = _csv_line(header, draw(endings))
     shift = draw(st.one_of(st.none(), st.integers(-8, 48)))
     if shift is not None:
-        pad = (1 << 16) - shift - len(text) - width
+        pad = _BLOCK - shift - len(text) - width
         text += _csv_line(["p" * pad] + [""] * (width - 1), draw(endings))
     rows = draw(st.lists(st.lists(_CELLS, min_size=width, max_size=width), max_size=12))
     for cells in rows:
@@ -648,6 +738,8 @@ def _byte_tables(draw) -> bytes:
 
 @given(_byte_tables())
 @settings(max_examples=200)
+# The first read ends on the CR of a CRLF: the LF, in the next read, ends the same line.
+@example(b"c0\n" + b"p" * (_BLOCK - 4) + b"\r\na\n")
 def test_table_rows_match_a_text_stream(raw):
     with io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8", newline="") as text:
         reference = list(enumerate(csv.reader(text), start=1))
