@@ -6,10 +6,11 @@ Input tables are UTF-8 comma-separated files with the mandatory header
 
 Lines end at LF, CRLF or a bare CR, and a byte-order mark at the very start
 is ignored. A binary flow table is read in blocks of whole lines, about 16 KiB
-each; a block of plain lines is split and checked a column at a time, and from
-the first block that holds a quote, a line the checks refuse or a byte that is
-not UTF-8, the rest of the table is read a row at a time through the csv
-reader. Either way the first fault in row order is the one reported, with the
+each; a block of plain lines is split and checked a column at a time. A block
+that holds a quote, a line the checks refuse or a byte that is not UTF-8 is
+read a row at a time through the csv reader, with the blocks after it while a
+quoted field is open, and the next block is offered to the column checks
+again. Either way the first fault in row order is the one reported, with the
 same message and row number. The caller's stream is never closed or seeked.
 
 Empty quantity/unit cells mean "not reported". Records sharing a
@@ -25,7 +26,7 @@ import math
 from dataclasses import dataclass
 from itertools import chain, compress, groupby
 from operator import attrgetter, not_
-from typing import IO, Iterable, Iterator, NamedTuple
+from typing import IO, Iterable, Iterator, NamedTuple, Sequence
 
 EXPECTED_HEADER = (
     "period",
@@ -68,14 +69,15 @@ class UnitConflictError(ValueError):
 class UnmappedCodeError(ValueError):
     """Industry codes missing from the grouping map under the strict policy.
 
-    `codes` holds every one; past ten, the message gives their count and
-    the first ten in sorted order, so that it stays one short line.
+    `codes` holds every one, in the order the caller gives them (sorted, from
+    apply_grouping); past ten, the message gives their count and the first
+    ten, so that it stays one short line.
     """
 
     def __init__(self, codes: list[str]):
         named = (
             ", ".join(codes) if len(codes) <= 10
-            else f"{len(codes)} codes, the first 10: {', '.join(sorted(codes)[:10])}"
+            else f"{len(codes)} codes, the first 10: {', '.join(codes[:10])}"
         )
         super().__init__(f"unmapped industry codes under strict policy: {named}")
         self.codes = codes
@@ -151,8 +153,12 @@ class CleanResult:
     rows_read: int
 
 
+# A row's key as the merge holds it: the four key fields joined by commas, one
+# string to hash and compare, or their tuple when a field holds a comma itself,
+# which only a quoted field can.
+_Key = str | tuple[str, str, str, str]
 # One validated row, ready to merge: (key, X, M, x, m, unit).
-_Row = tuple[tuple[str, str, str, str], float, float, float | None, float | None, str | None]
+_Row = tuple[_Key, float, float, float | None, float | None, str | None]
 
 
 def _parse_value(cell: str, column: str, row_number: int) -> float:
@@ -222,11 +228,14 @@ def _table(
     very start is dropped; anywhere else it is data. Rows count from 1 at
     the header. A `row_number` above 0 says that `source` holds the rest of
     a table whose header and rows up to that number were read: it has no
-    header, and its first row is numbered `row_number + 1`. Raises
+    header, and its first row is numbered `row_number + 1`. A `source`
+    that is a `_Span` ends after the first row, blank or not, whose last
+    line is the last line of the span's blocks so far. Raises
     FlowParseError naming the row at fault: a missing or wrong header, a
     wrong number of fields, a record the csv module rejects (a field past
     its size limit) or bytes that are not UTF-8.
     """
+    span = source if isinstance(source, _Span) else None
     if _is_binary(source):
         source = _lines(_blocks(source))
     lines = iter(source)
@@ -244,11 +253,13 @@ def _table(
             row_number = 1
         width = len(header)
         for row_number, row in enumerate(reader, start=row_number + 1):
-            if not row:
-                continue  # tolerate a trailing blank line
-            if len(row) != width:
-                raise FlowParseError(row_number, f"expected {width} fields, got {len(row)}")
-            yield row_number, row
+            if row:  # tolerate a trailing blank line
+                if len(row) != width:
+                    raise FlowParseError(row_number, f"expected {width} fields, got {len(row)}")
+                yield row_number, row
+            if span is not None and reader.line_num == span.lines:
+                span.row_number = row_number
+                return
     except (csv.Error, UnicodeDecodeError) as exc:  # raised reading the record after row_number
         reason = str(exc) if isinstance(exc, csv.Error) else "not valid UTF-8"
         raise FlowParseError(row_number + 1, reason) from None
@@ -294,8 +305,12 @@ def _validated_rows(
             if export_volume is not None or import_volume is not None:
                 raise FlowParseError(row_number, "quantity present without qty_unit")
             unit = None
+        if "," in period or "," in reporter or "," in partner or "," in code:
+            key = period, reporter, partner, code  # a quoted field held the comma
+        else:
+            key = f"{period},{reporter},{partner},{code}"
         yield (
-            (period, reporter, partner, code),
+            key,
             export_value,
             import_value,
             export_volume,
@@ -312,17 +327,16 @@ def _merge(rows: Iterable[_Row]) -> CleanResult:
     of its quantities only when every row of the key reports one; otherwise
     it is None, since summing values over all rows but quantities over some
     would bias the unit value. Raises OverflowError on a key whose trade or
-    volume total leaves the float range.
+    volume total leaves the float range, the first such key in row order.
 
     A key's sums are one (X, M, x, m, unit) tuple, replaced by each later row
-    of the key; the last pass puts the key's flow, or None, in its place. A
-    tuple and a flow take 80 B each, so the flows reuse the tuples' memory.
-    The csv reader makes a new string per cell; equal key fields and units
-    are shared through a table private to the call. Not sys.intern: its
-    strings are global, and never freed on some Python versions.
+    of the key. The flows are made last, the last key first: each key and its
+    slot are freed as its flow is made, so the joined keys are never alive
+    beside the FlowKeys. Equal key fields and units are one string, shared
+    through a table private to the call. Not sys.intern: its strings are
+    global, and never freed on some Python versions.
     """
-    # A plain-tuple key finds its FlowKey, as they compare equal, and keeps it.
-    acc: dict[FlowKey, tuple | IndustryFlow | None] = {}
+    acc: dict[_Key, tuple] = {}
     get = acc.get
     share, new_key = {}.setdefault, tuple.__new__
     rows_read = 0
@@ -330,17 +344,13 @@ def _merge(rows: Iterable[_Row]) -> CleanResult:
         rows_read += 1
         slot = get(key)
         if slot is None:
-            # tuple.__new__ builds the FlowKey without its __new__, which is Python code.
-            period, reporter, partner, code = key
-            key = new_key(FlowKey, (
-                share(period, period), share(reporter, reporter),
-                share(partner, partner), share(code, code),
-            ))
+            if key.__class__ is tuple:  # its fields shared now, a joined key's at the end
+                key = tuple(map(share, key, key))
             acc[key] = (xv, mv, xq, mq, share(unit, unit))
             continue
         sx, sm, sxq, smq, sunit = slot
         if unit is not None and sunit is not None and unit != sunit:
-            raise UnitConflictError(FlowKey(*key), (sunit, unit))
+            raise UnitConflictError(FlowKey(*_key_fields(key)), (sunit, unit))
         acc[key] = (
             sx + xv, sm + mv,
             None if xq is None or sxq is None else sxq + xq,
@@ -348,46 +358,81 @@ def _merge(rows: Iterable[_Row]) -> CleanResult:
             share(unit, unit) if sunit is None else sunit,
         )
 
-    dropped = 0
-    for key, (xv, mv, xq, mq, unit) in acc.items():
+    flows: list[IndustryFlow] = []
+    dropped, overflow = 0, None
+    while acc:
+        key, (xv, mv, xq, mq, unit) = acc.popitem()
         if xv == 0 and mv == 0:
             dropped += 1
-            acc[key] = None
             continue
+        # tuple.__new__ builds the FlowKey without its __new__, which is Python code.
+        period, reporter, partner, code = _key_fields(key)
+        key = new_key(FlowKey, (
+            share(period, period), share(reporter, reporter),
+            share(partner, partner), share(code, code),
+        ))
         # Every row is finite and nonnegative, so a sum that overflowed is inf.
         if xv + mv == math.inf or xq == math.inf or mq == math.inf:
-            raise OverflowError(
-                f"trade or volume total of key {tuple(key)} exceeds the float range"
-            )
-        acc[key] = IndustryFlow(key, xv, mv, xq, mq, unit)
-    return CleanResult(tuple(filter(None, acc.values())), dropped, rows_read)
+            overflow = key  # the last one popped is the first in row order
+        flows.append(IndustryFlow(key, xv, mv, xq, mq, unit))
+    if overflow is not None:
+        raise OverflowError(
+            f"trade or volume total of key {tuple(overflow)} exceeds the float range"
+        )
+    acc.clear()  # frees its table before the tuple of flows is made
+    flows.reverse()
+    return CleanResult(tuple(flows), dropped, rows_read)
+
+
+def _key_fields(key: _Key) -> Sequence[str]:
+    """The four fields of a merge key."""
+    return key.split(",") if isinstance(key, str) else key
 
 
 def _row_blocks(blocks: Iterator[bytes]) -> Iterator[Iterable[_Row]]:
     """The validated rows of a binary flow table, one iterable per block of lines.
 
-    The header line goes through `_validated_rows`. Each later block is one
-    zip over its columns when `_block_rows` accepts it. The first block it
-    refuses, from its first line on, and every block after it go through
-    `_validated_rows` with the row number carried, so the row path reports
-    the first fault in row order with its usual message. A header holding a
-    quote may span lines: then the whole table takes the row path.
+    The first block, which holds the header, and each block that
+    `_block_rows` refuses go through `_validated_rows` as a `_Span`, with
+    the row number carried: the row path checks the header and reports the
+    first fault in row order with its usual message. Each other block is
+    one zip over its columns.
     """
-    first = next(blocks, b"")
-    header = first.splitlines(keepends=True)[:1]
-    if not header or b'"' in header[0]:
-        yield _validated_rows(_lines(chain((first,), blocks)))
-        return
-    yield _validated_rows(_lines(header))  # checks the header, holds no row
-    limit, row_number = csv.field_size_limit(), 1
-    for block in filter(None, chain((first[len(header[0]):],), blocks)):
+    span = _Span(next(blocks, b""), blocks)
+    yield _validated_rows(span)
+    limit, row_number = csv.field_size_limit(), span.row_number
+    for block in blocks:
         accepted = _block_rows(block, limit)
-        if accepted is None:
-            yield _validated_rows(_lines(chain((block,), blocks)), row_number)
-            return
-        lines, rows = accepted
-        row_number += lines
-        yield rows
+        if accepted is not None:
+            lines, rows = accepted
+            row_number += lines
+            yield rows
+            continue
+        span = _Span(block, blocks)
+        yield _validated_rows(span, row_number)
+        row_number = span.row_number
+
+
+class _Span:
+    """A block's lines for the row path, and each later block's while a record is open.
+
+    `_table` ends a span at the end of the first of its blocks where no
+    quoted field is open, so a quoted field that spans lines costs the row
+    path only the blocks it touches, and sets `row_number` to the number of
+    its last row. `lines` counts the lines of the blocks taken so far.
+    """
+
+    def __init__(self, block: bytes, blocks: Iterator[bytes]):
+        self.block, self.blocks = block, blocks
+        self.lines = self.row_number = 0
+
+    def __iter__(self) -> Iterator[str]:
+        block = self.block
+        while block:
+            lines = block.splitlines(keepends=True)
+            self.lines += len(lines)
+            yield from map(bytes.decode, lines)
+            block = next(self.blocks, b"")
 
 
 def _block_rows(block: bytes, limit: int) -> tuple[int, Iterator[_Row]] | None:
@@ -444,9 +489,8 @@ def _block_rows(block: bytes, limit: int) -> tuple[int, Iterator[_Row]] | None:
         unitless = list(map(not_, unit))
         if any(compress(xq, unitless)) or any(compress(mq, unitless)):
             return None
-    return lines, zip(
-        zip(period, reporter, partner, code), *columns, map({"": None}.get, unit, unit)
-    )
+        unit = map({"": None}.get, unit, unit)
+    return lines, zip(map(",".join, zip(period, reporter, partner, code)), *columns, unit)
 
 
 def read_flows(source: IO[bytes] | IO[str] | Iterable[str]) -> CleanResult:
@@ -463,14 +507,16 @@ def read_flows(source: IO[bytes] | IO[str] | Iterable[str]) -> CleanResult:
     A binary stream is read in blocks of whole lines, about 16 KiB each. A
     block whose every line passes the row checks is split and checked a
     column at a time, and the merge draws its rows from a zip over the
-    columns. From the first block that does not, the rest of the table is
-    read a row at a time, so the first fault in row order, between a bad
-    row and a unit conflict too, is the one reported, with the same message
-    and row number as a text stream gives.
+    columns. A block that does not is read a row at a time, with the blocks
+    after it while a quoted field is open, and the next block is tried
+    again. So the first fault in row order, between a bad row and a unit
+    conflict too, is the one reported, with the same message and row number
+    as a text stream gives.
 
-    Equal strings among the key fields and units of the flows are one shared
-    object, and each flow takes its key's merge slot's memory, so a flow costs
-    its numbers and its key: about 300 B at the peak, no string copies.
+    The merge keys each row by its key fields joined by commas, one string
+    to hash and compare. Equal strings among the key fields and units of the
+    flows are one shared object, so a flow costs its numbers and its key:
+    about 300 B at the peak, no string copies.
     """
     if _is_binary(source):
         return _merge(chain.from_iterable(_row_blocks(_blocks(source))))
