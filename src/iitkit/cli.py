@@ -18,7 +18,7 @@ import math
 import os
 import shutil
 import sys
-from itertools import chain
+from itertools import chain, starmap
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import BinaryIO, Callable, Iterable, Iterator, TypeVar
@@ -26,23 +26,25 @@ from typing import BinaryIO, Callable, Iterable, Iterator, TypeVar
 from iitkit.differentiation import (
     FAMILIES,
     DifferentiationMethod,
+    IndustryDetail,
     Rows,
+    SharesReport,
     _CsvTable,
     _check_group,
-    _shares_table,
+    _shares_values,
     _unit_values,
     _write_csv,
-    decompose_shares,
 )
 from iitkit.indices import TradeTypeMethod, check_fraction
 from iitkit.sensitivity import (
     DEFAULT_ALPHA_GRID,
+    Transition,
     _flips_table,
     _period_order,
-    _transitions_table,
+    _transition_lines,
+    _transition_values,
     _validate_alphas,
     alpha_sweep,
-    nature_transitions,
     sweep_flips,
 )
 from iitkit.trade_data import (
@@ -59,10 +61,15 @@ from iitkit.trade_data import (
     read_grouping_map,
 )
 
-# The CSV reports as one str each. The CLI streams its CSV instead and does not
-# call these, but perfbench/tracer.py wraps them by their names on this module.
-from iitkit.differentiation import reports_to_csv  # noqa: F401
-from iitkit.sensitivity import sweep_flips_to_csv, transitions_to_csv  # noqa: F401
+# The records of compute and transitions, and the CSV reports as one str each.
+# The CLI builds its report lines without them and does not call these, but
+# perfbench/tracer.py wraps them by their names on this module.
+from iitkit.differentiation import decompose_shares, reports_to_csv  # noqa: F401
+from iitkit.sensitivity import (  # noqa: F401
+    nature_transitions,
+    sweep_flips_to_csv,
+    transitions_to_csv,
+)
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -252,11 +259,33 @@ _SCALAR: dict[type, Callable[[object], str]] = {
 }
 
 
+# The JSON text of each value of a column of one type: as _SCALAR, but a float
+# column that `_column` found finite needs no check per value.
+_UNIFORM = {**_SCALAR, float: float.__repr__}
+
+
+def _column(values: tuple) -> list[str]:
+    """The JSON text of each of `values`, one column of a Rows.
+
+    A column of one type is encoded by one map, a float column only when
+    its sum is finite: sum() is NaN or infinite when a term is, and may be
+    infinite when none is. Any other column is encoded a value at a time,
+    by each value's type; a float that is not finite raises ValueError.
+    """
+    kinds = set(map(type, values))
+    if len(kinds) == 1:
+        kind = kinds.pop()
+        if kind is not float or math.isfinite(sum(values)):
+            return list(map(_UNIFORM[kind], values))
+    return [_SCALAR[type(v)](v) for v in values]
+
+
 @functools.cache
 def _template(fields: tuple[str, ...], depth: int) -> str:
     """%-template of a flat JSON object at nesting `depth`: one %s per field."""
     pad = "\n" + "  " * (depth + 1)
-    members = ",".join(f"{pad}{encode_basestring_ascii(name)}: %s" for name in fields)
+    names = [encode_basestring_ascii(name).replace("%", "%%") for name in fields]
+    members = ",".join(f"{pad}{name}: %s" for name in names)
     return f"{{{members}{pad[:-2]}}}"
 
 
@@ -265,9 +294,10 @@ def _write_json(write: Callable[[str], object], value, depth: int) -> None:
 
     A str, float, int, bool or None is a scalar; a dict or a report record
     (anything with items()) is an object; a Rows is a list of flat objects,
-    each filled into one template; any other iterable, a generator included,
-    is a list, each member written before the next is drawn. Raises
-    ValueError on a float that is not finite.
+    encoded a column at a time by `_column` and each filled into one
+    template; any other iterable, a generator included, is a list, each
+    member written before the next is drawn. Raises ValueError on a float
+    that is not finite, the first in the order json.dump meets them.
     """
     scalar = _SCALAR.get(type(value))
     if scalar is not None:
@@ -286,10 +316,14 @@ def _write_json(write: Callable[[str], object], value, depth: int) -> None:
             sep = ","
         write("{}" if sep == "{" else pad[:-2] + "}")
     elif isinstance(value, Rows):
-        template, scalar = _template(value.fields, depth + 1), _SCALAR
+        rows, template = list(value.values), pad + _template(value.fields, depth + 1)
+        try:
+            lines = [template % cells for cells in zip(*map(_column, zip(*rows)))]
+        except ValueError:  # a float that is not finite: write the rows before it, then raise
+            lines = (template % tuple([_SCALAR[type(v)](v) for v in row]) for row in rows)
         sep = "["
-        for row in value.values:
-            write(sep + pad + template % tuple([scalar[type(v)](v) for v in row]))
+        for line in lines:
+            write(sep + line)
             sep = ","
         write("[]" if sep == "[" else pad[:-2] + "]")
     else:
@@ -359,15 +393,29 @@ def _write_report(
 # Each runner first proves the table sound with `_sound`, or else checks every
 # group it will decompose, in the order it decomposes them, so the first data
 # error is raised, with its message, before the report's first byte. The
-# records are then built one at a time as the report is written.
+# records are then built one at a time as the report is written. compute and
+# transitions build no report record: their lines come as value tuples
+# straight from the member pass, a JSON record as a dict of its members.
+
+
+def _shares_record(
+    group: IndustryGroup, method: DifferentiationMethod, type_method: TradeTypeMethod
+) -> dict:
+    """The members of `decompose_shares(group, method, type_method)`'s JSON form, in order."""
+    industries: list[tuple] = []
+    values = _shares_values(group, method, type_method, industries)
+    return dict(
+        zip(SharesReport.FIELDS, values), industries=Rows(IndustryDetail.FIELDS, industries)
+    )
 
 
 def _run_compute(args: argparse.Namespace) -> int:
     groups = _load_groups(args, _checked_stream)
     method = DifferentiationMethod(args.family, args.alpha)
     type_method = _type_method(args)
-    reports = (decompose_shares(g, method, type_method) for g in groups)
-    return _write_report(args, "reports", reports, _shares_table)
+    line = _shares_values if args.format == "csv" else _shares_record
+    lines = (line(g, method, type_method) for g in groups)
+    return _write_report(args, "reports", lines, lambda rows: (SharesReport.FIELDS, rows))
 
 
 def _run_sweep(args: argparse.Namespace) -> int:
@@ -398,12 +446,30 @@ def _run_transitions(args: argparse.Namespace) -> int:
         for series in panel_series:  # nature_transitions takes the periods in natural order
             for group in sorted(series, key=lambda g: _period_order(g.snapshot[0])):
                 _check_group(group)
-    reports = (
-        nature_transitions(series, args.alpha, args.family, type_method)
-        for series in panel_series
-    )
+
+    def transitions(series: list[IndustryGroup]) -> tuple[Iterable[tuple], int]:
+        """The panel's Transition.values() tuples, and its skipped count."""
+        lines, skipped = _transition_lines(series, args.alpha, args.family, type_method)
+        return starmap(_transition_values, lines), skipped
+
+    def record(series: list[IndustryGroup]) -> dict:  # nature_transitions(...).to_dict()
+        values, skipped = transitions(series)
+        _, reporter, partner = series[0].snapshot
+        return {
+            "reporter": reporter, "partner": partner, "group_id": series[0].group_id,
+            "family": args.family, "alpha": args.alpha, "skipped": skipped,
+            "transitions": Rows(Transition.FIELDS, values),
+        }
+
+    if args.format == "csv":
+        lines = (
+            (series[0].group_id, *values)
+            for series in panel_series for values in transitions(series)[0]
+        )
+    else:
+        lines = map(record, panel_series)
     return _write_report(
-        args, "panels", reports, _transitions_table,
+        args, "panels", lines, lambda rows: (("group_id", *Transition.FIELDS), rows),
         single_period_panels_skipped=len(panels) - len(panel_series),
     )
 

@@ -275,6 +275,46 @@ def decompose_shares(
     return report
 
 
+def _shares_values(
+    group: IndustryGroup,
+    method: DifferentiationMethod,
+    type_method: TradeTypeMethod,
+    industries: list[tuple] | None = None,
+) -> tuple:
+    """`decompose_shares(group, method, type_method).values()`, with no record built.
+
+    One `_members` pass feeds every sum, each the left fold in member order
+    that `_decompose` makes, so the values are equal to the report's. Given
+    `industries`, appends to it each member's industry line, as the
+    report's `items()` gives it. Raises what `decompose_shares` raises.
+    """
+    total = _group_total(group)
+    iit = unclassified = hiit = hq = lq = 0.0
+    vertical_high = Differentiation.VERTICAL_HIGH
+    for flow, trade_type, amount, ratio, reason, label, first in _members(
+        group, (method,), type_method
+    ):
+        iit += amount
+        if reason is not None:
+            unclassified += amount
+        if first == 0:
+            hiit += amount
+        elif label is vertical_high:
+            hq += amount
+        elif label is not None:
+            lq += amount
+        if industries is not None:  # _value_ is .value, without the descriptor's Python call
+            industries.append((
+                *flow.key, trade_type._value_, ratio, label._value_ if label else None,
+                reason._value_ if reason else None, amount / total,
+            ))
+    return (
+        *group.snapshot, group.group_id, method.family, method.alpha,
+        type_method.kind, type_method.threshold, total, iit / total, hiit / total,
+        (hq + lq) / total, hq / total, lq / total, unclassified / total,
+    )
+
+
 def _group_total(group: IndustryGroup) -> float:
     """The group's total trade; raises OverflowError when it exceeds the float range."""
     total = group.total_trade

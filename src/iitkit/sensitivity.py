@@ -8,15 +8,17 @@ industry is horizontal from one grid point on, found by one band test and
 one bisection of the grid's band edges, and its labels and its one flip
 follow from that point; `sweep_flips` gives the flips alone.
 `nature_transitions` records flips across consecutive periods of a panel
-at a fixed alpha, from each period's labels alone. Flips are detected on
-labels, not on ratio movements, so hairline crossings are reported rather
-than smoothed.
+at a fixed alpha, from each period's labels alone; `_transition_lines`
+gives the same transitions as plain tuples, which the CLI writes with no
+`Transition` built. Flips are detected on labels, not on ratio movements,
+so hairline crossings are reported rather than smoothed.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import starmap
 from operator import itemgetter
 from typing import Iterable, Sequence
 
@@ -114,19 +116,24 @@ class Transition:
         return self.label_from is not self.label_to
 
     def values(self) -> tuple:
-        return (
-            *self.key_from[1:],
-            self.key_from.period,
-            self.key_to.period,
-            self.ratio_from,
-            self.ratio_to,
-            self.label_from.value,
-            self.label_to.value,
-            self.flipped,
+        return _transition_values(
+            self.key_from, self.key_to, self.ratio_from, self.ratio_to,
+            self.label_from, self.label_to,
         )
 
     def to_dict(self) -> dict:
         return dict(zip(self.FIELDS, self.values()))
+
+
+def _transition_values(
+    key_from: FlowKey, key_to: FlowKey, ratio_from: float, ratio_to: float,
+    label_from: Differentiation, label_to: Differentiation,
+) -> tuple:
+    """`Transition(...).values()` of these fields, with no Transition built."""
+    return (  # _value_ is what .value returns, without the descriptor's Python call
+        *key_from[1:], key_from[0], key_to[0], ratio_from, ratio_to,
+        label_from._value_, label_to._value_, label_from is not label_to,
+    )
 
 
 @dataclass(frozen=True)
@@ -229,47 +236,62 @@ def nature_transitions(
     period of a pair are skipped, and counted once per pair. Each period's
     keys, ratios and labels come from one member pass at `alpha`, with no
     share table built; raises what `decompose_shares` raises on a period.
+    The transitions are those of `_transition_lines`, each wrapped in a
+    `Transition`.
     """
     groups = list(panel)
     panels = {(*g.snapshot[1:], g.group_id) for g in groups}
     if len(panels) > 1:
         raise ValueError(f"panel mixes reporter/partner/group: {sorted(panels)}")
-    by_period: dict[str, IndustryGroup] = {}
+    periods: set[str] = set()
     for group in groups:
         period = group.snapshot[0]
-        if period in by_period:
+        if period in periods:
             raise ValueError(f"duplicate period {period!r} in panel")
-        by_period[period] = group
-    if len(by_period) < 2:
-        raise ValueError(f"panel needs at least 2 periods, got {len(by_period)}")
+        periods.add(period)
+    if len(periods) < 2:
+        raise ValueError(f"panel needs at least 2 periods, got {len(periods)}")
 
-    periods = sorted(by_period, key=_period_order)
-    methods = [DifferentiationMethod(family, alpha)]
-    lines = []
-    for period in periods:
-        # Match on (reporter, partner, industry_code); period differs by design.
-        _group_total(by_period[period])
-        members = _members(by_period[period], methods, type_method)
-        lines.append({
-            flow.key[1:]: (flow.key, ratio, label) for flow, _, _, ratio, _, label, _ in members
-        })
-
-    transitions: list[Transition] = []
-    skipped = 0
-    for from_map, to_map in zip(lines, lines[1:]):
-        for ident in sorted(from_map.keys() | to_map.keys()):
-            key_from, ratio_from, label_from = from_map.get(ident, (None, None, None))
-            key_to, ratio_to, label_to = to_map.get(ident, (None, None, None))
-            if label_from is None or label_to is None:
-                skipped += 1
-                continue
-            transitions.append(
-                Transition(key_from, key_to, ratio_from, ratio_to, label_from, label_to)
-            )
+    lines, skipped = _transition_lines(groups, alpha, family, type_method)
     (reporter, partner, group_id), = panels
     return TransitionReport(
-        reporter, partner, group_id, family, alpha, tuple(transitions), skipped
+        reporter, partner, group_id, family, alpha, tuple(starmap(Transition, lines)), skipped
     )
+
+
+def _transition_lines(
+    panel: Iterable[IndustryGroup], alpha: float, family: str, type_method: TradeTypeMethod
+) -> tuple[list[tuple], int]:
+    """The transitions of `nature_transitions` as plain tuples, and its skipped count.
+
+    `panel` is one that `nature_transitions` accepts. Each tuple holds the
+    fields of a `Transition`, in order: (key_from, key_to, ratio_from,
+    ratio_to, label_from, label_to). For each pair of consecutive periods,
+    the industries of either are taken in order of their code, which is
+    their order by (reporter, partner, industry_code) in one panel. Raises
+    what `nature_transitions` raises on a period.
+    """
+    methods = [DifferentiationMethod(family, alpha)]
+    by_code = []
+    for group in sorted(panel, key=lambda g: _period_order(g.snapshot[0])):
+        _group_total(group)
+        by_code.append({
+            flow.key[3]: (flow.key, ratio, label)
+            for flow, _, _, ratio, _, label, _ in _members(group, methods, type_method)
+        })
+
+    lines: list[tuple] = []
+    skipped = 0
+    absent = (None, None, None)
+    for from_map, to_map in zip(by_code, by_code[1:]):
+        for code in sorted(from_map.keys() | to_map.keys()):
+            key_from, ratio_from, label_from = from_map.get(code, absent)
+            key_to, ratio_to, label_to = to_map.get(code, absent)
+            if label_from is None or label_to is None:
+                skipped += 1
+            else:
+                lines.append((key_from, key_to, ratio_from, ratio_to, label_from, label_to))
+    return lines, skipped
 
 
 def _flips_table(sweeps: Iterable[SweepResult]) -> _CsvTable:

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import chain, compress, groupby
 from operator import attrgetter, not_
 from typing import IO, Iterable, Iterator, NamedTuple, Sequence
@@ -108,7 +108,13 @@ class IndustryFlow:
 
 @dataclass(frozen=True, slots=True)
 class IndustryGroup:
-    """A nonempty set of industries observed in one (period, reporter, partner) snapshot."""
+    """A nonempty set of industries observed in one (period, reporter, partner) snapshot.
+
+    The public constructor checks both conditions and raises ValueError on
+    empty members or mixed snapshots. `apply_grouping` builds its groups
+    through their slots, without the check: members cut from one sorted
+    run of flows meet both.
+    """
 
     group_id: str
     members: tuple[IndustryFlow, ...]
@@ -138,6 +144,17 @@ class IndustryGroup:
         for member in self.members:
             total += member.total_trade
         return total
+
+
+def _slot_setters(cls: type) -> tuple:
+    """The setter of each field's slot, in field order: `object.__new__(cls)` and
+    one call of each fills a record as its `__init__` would, at about a quarter
+    of the cost. Only for records whose class has no `__post_init__`."""
+    return tuple(getattr(cls, f.name).__set__ for f in fields(cls))
+
+
+_FLOW_SETTERS = _slot_setters(IndustryFlow)
+_GROUP_SETTERS = _slot_setters(IndustryGroup)
 
 
 @dataclass(frozen=True)
@@ -214,6 +231,18 @@ def _lines(blocks: Iterable[bytes]) -> Iterator[str]:
         yield from map(bytes.decode, block.splitlines(keepends=True))
 
 
+def _without_nul(lines: Iterable[str]) -> Iterator[str]:
+    """`lines`, raising csv.Error on the first that holds a NUL.
+
+    The csv module refuses a NUL itself only before Python 3.11; this makes
+    it an error, with the same message, on every version.
+    """
+    for line in lines:
+        if "\0" in line:
+            raise csv.Error("line contains NUL")
+        yield line
+
+
 def _is_binary(source: IO[bytes] | IO[str] | Iterable[str]) -> bool:
     return hasattr(source, "read") and isinstance(source.read(0), bytes)
 
@@ -233,12 +262,12 @@ def _table(
     line is the last line of the span's blocks so far. Raises
     FlowParseError naming the row at fault: a missing or wrong header, a
     wrong number of fields, a record the csv module rejects (a field past
-    its size limit) or bytes that are not UTF-8.
+    its size limit), a line holding a NUL or bytes that are not UTF-8.
     """
     span = source if isinstance(source, _Span) else None
     if _is_binary(source):
         source = _lines(_blocks(source))
-    lines = iter(source)
+    lines = _without_nul(source)
     try:
         if row_number:
             reader = csv.reader(lines)
@@ -332,13 +361,15 @@ def _merge(rows: Iterable[_Row]) -> CleanResult:
     A key's sums are one (X, M, x, m, unit) tuple, replaced by each later row
     of the key. The flows are made last, the last key first: each key and its
     slot are freed as its flow is made, so the joined keys are never alive
-    beside the FlowKeys. Equal key fields and units are one string, shared
+    beside the FlowKeys. Each flow is filled through its slots, as
+    `IndustryFlow(...)` would fill it. Equal key fields and units are one string, shared
     through a table private to the call. Not sys.intern: its strings are
     global, and never freed on some Python versions.
     """
     acc: dict[_Key, tuple] = {}
     get = acc.get
-    share, new_key = {}.setdefault, tuple.__new__
+    share, new_key, new = {}.setdefault, tuple.__new__, object.__new__
+    set_key, set_xv, set_mv, set_xq, set_mq, set_unit = _FLOW_SETTERS
     rows_read = 0
     for key, xv, mv, xq, mq, unit in rows:
         rows_read += 1
@@ -374,7 +405,14 @@ def _merge(rows: Iterable[_Row]) -> CleanResult:
         # Every row is finite and nonnegative, so a sum that overflowed is inf.
         if xv + mv == math.inf or xq == math.inf or mq == math.inf:
             overflow = key  # the last one popped is the first in row order
-        flows.append(IndustryFlow(key, xv, mv, xq, mq, unit))
+        flow = new(IndustryFlow)
+        set_key(flow, key)
+        set_xv(flow, xv)
+        set_mv(flow, mv)
+        set_xq(flow, xq)
+        set_mq(flow, mq)
+        set_unit(flow, unit)
+        flows.append(flow)
     if overflow is not None:
         raise OverflowError(
             f"trade or volume total of key {tuple(overflow)} exceeds the float range"
@@ -440,10 +478,11 @@ def _block_rows(block: bytes, limit: int) -> tuple[int, Iterator[_Row]] | None:
 
     The block is decoded and split once, and every check runs on a whole
     column at a time, in C. None when the row path could read a line
-    otherwise than a split at each comma does (a quote, a NUL, a field of at
-    least the csv field size `limit`, bytes that are not UTF-8, a line that
-    is not nine fields, a blank one included) or would refuse one: an empty
-    key field, a value outside 0 <= v < inf or a quantity without a unit.
+    otherwise than a split at each comma does (a quote, a field of at least
+    the csv field size `limit`, bytes that are not UTF-8, a line that is
+    not nine fields, a blank one included) or would refuse one: a NUL, an
+    empty key field, a value outside 0 <= v < inf or a quantity without a
+    unit.
     """
     if b'"' in block or b"\0" in block:
         return None
@@ -567,15 +606,24 @@ def _group_order(
 
 
 def _groups(ordered: Iterable[IndustryFlow], mapping: dict[str, str] | None) -> Iterator[IndustryGroup]:
-    """The groups of flows in `_group_order`, each built only when it is asked for."""
+    """The groups of flows in `_group_order`, each built only when it is asked for.
+
+    Each is built through its slots: a run of `_group_order` under one group
+    key is nonempty and of one snapshot, so the constructor's check could not
+    fail.
+    """
     get = (mapping or {}).get
 
     def group_key(flow: IndustryFlow) -> tuple[str, str, str, str]:
         period, reporter, partner, code = flow.key
         return period, reporter, partner, get(code, code)  # own-code fallback
 
+    new, (set_group_id, set_members) = object.__new__, _GROUP_SETTERS
     for (_, _, _, group_id), members in groupby(ordered, group_key):
-        yield IndustryGroup(group_id, tuple(members))
+        group = new(IndustryGroup)
+        set_group_id(group, group_id)
+        set_members(group, tuple(members))
+        yield group
 
 
 def read_grouping_map(source: IO[bytes] | IO[str] | Iterable[str]) -> dict[str, str]:

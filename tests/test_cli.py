@@ -19,16 +19,17 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import iitkit
 import iitkit.cli as cli
-import iitkit.trade_data as trade_data
 from iitkit.cli import main
 from iitkit.datasets import example_flows_path, example_panel_path
 from iitkit.differentiation import (
     Differentiation,
     DifferentiationMethod,
     IndustryDetail,
+    Rows,
     SharesReport,
     UnclassifiableReason,
     _check_group,
+    _plain,
     decompose_shares,
 )
 from iitkit.indices import TradeType, TradeTypeMethod
@@ -543,9 +544,9 @@ class TestReportFile:
         self, flows_csv, tmp_path, monkeypatch, capsys
     ):
         # A NaN share makes the JSON encoder fail after the config is written.
-        real = cli.decompose_shares
+        real, hiit = cli._shares_values, SharesReport.FIELDS.index("hiit")
         monkeypatch.setattr(
-            cli, "decompose_shares", lambda *a: dataclasses.replace(real(*a), hiit=math.nan)
+            cli, "_shares_values", lambda *a: _replaced(real(*a), hiit, math.nan)
         )
         out = tmp_path / "report.json"
         out.write_text("old report\n")
@@ -806,13 +807,15 @@ class TestJsonReport:
 
     @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
     @pytest.mark.parametrize("command, name, plant", [
-        # A group-level share, an industry line, and a transition line.
-        ("compute", "decompose_shares", lambda r, v: dataclasses.replace(r, total_trade=v)),
+        # A group-level share, an industry line, and a transition line: each
+        # planted in what the runner draws its report lines from.
+        ("compute", "_shares_values",
+         lambda r, v: _replaced(r, SharesReport.FIELDS.index("total_trade"), v)),
         ("sweep", "alpha_sweep", lambda s, v: dataclasses.replace(s, reports=(dataclasses.replace(
             s.reports[0], details=(dataclasses.replace(s.reports[0].details[0], contribution=v),
                                    *s.reports[0].details[1:])), *s.reports[1:]))),
-        ("transitions", "nature_transitions", lambda p, v: dataclasses.replace(p, transitions=(
-            dataclasses.replace(p.transitions[0], ratio_to=v), *p.transitions[1:]))),
+        ("transitions", "_transition_lines",
+         lambda r, v: ([_replaced(r[0][0], 3, v), *r[0][1:]], r[1])),  # ratio_to
     ])
     def test_non_finite_number_exits_2_and_writes_nothing(
         self, tmp_path, monkeypatch, capsys, command, name, plant, value
@@ -826,6 +829,56 @@ class TestJsonReport:
             f"Out of range float values are not JSON compliant: {value!r}\n"
         ))
         assert list(tmp_path.iterdir()) == []
+
+
+_NON_FINITE = st.sampled_from([math.inf, -math.inf, math.nan])
+# One column of a Rows, of each kind `cli._column` tells apart.
+_COLUMN = st.sampled_from([
+    _TEXT, st.booleans(), st.integers(), _FLOAT,
+    st.one_of(st.none(), _FLOAT),  # None among floats
+    st.one_of(st.booleans(), st.integers()),  # bools among ints
+    st.one_of(_FLOAT, _NON_FINITE),
+    st.sampled_from([1e308, 1.7e308, 0.5, -0.0]),  # finite, but their sum may overflow
+    st.none(),
+])
+
+
+@st.composite
+def _rows(draw) -> Rows:
+    """A Rows of up to 5 lines over 1 to 4 fields, each column drawn from one of `_COLUMN`."""
+    fields = draw(st.lists(_TEXT, min_size=1, max_size=4, unique=True))
+    count = draw(st.integers(0, 5))
+    columns = [
+        draw(st.lists(draw(_COLUMN), min_size=count, max_size=count)) for _ in fields
+    ]
+    return Rows(tuple(fields), list(zip(*columns)))
+
+
+@settings(max_examples=400)
+@given(rows=_rows(), nested=st.booleans())
+@example(rows=Rows(("a",), []), nested=False)
+@example(rows=Rows(("%s", "%%", "%"), [("", 1, None)]), nested=False)  # a field name holding %
+@example(rows=Rows(("a", "b"), [(1e308, 1), (1e308, True)]), nested=True)
+@example(rows=Rows(("a", "b"), [(1.0, math.nan), (math.inf, 2.0)]), nested=False)
+def test_column_kernel_writes_what_json_dumps_writes(rows, nested):
+    """Bytes as json.dumps(indent=2) gives them; on a float that is not finite,
+    the error for the first one in row order, after the rows before it."""
+    value = {"rows": rows} if nested else rows
+    pieces: list[str] = []
+    bad = [i for i, row in enumerate(rows.values) if any(
+        type(v) is float and not math.isfinite(v) for v in row
+    )]
+    if not bad:
+        cli._write_json(pieces.append, value, 0)
+        assert "".join(pieces) == json.dumps(_plain(value), indent=2, allow_nan=False)
+        return
+    with pytest.raises(ValueError) as exc:
+        cli._write_json(pieces.append, value, 0)
+    first = next(v for v in rows.values[bad[0]] if type(v) is float and not math.isfinite(v))
+    assert str(exc.value) == f"Out of range float values are not JSON compliant: {first!r}"
+    if not nested:  # the rows before it, as json.dumps writes them, less the closing "\n]"
+        before = json.dumps(_plain(Rows(rows.fields, rows.values[:bad[0]])), indent=2)
+        assert "".join(pieces) == (before[:-2] if bad[0] else "")
 
 
 def _reject_constant(name):
@@ -1015,42 +1068,83 @@ class TestFirstError:
             assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
+class _Tracked(list):
+    """A list that a weakref can follow, unlike a tuple."""
+
+
+class _TrackedDict(dict):
+    pass
+
+
+# What each runner builds one of per group or panel, and how to make it
+# followable. A CSV sweep builds its records with sweep_flips, a JSON one with
+# alpha_sweep. compute builds a CSV line with _shares_values and a JSON record
+# with _shares_record; transitions draws each panel's lines, written as CSV
+# rows or as a JSON record, from _transition_lines.
+_RECORD_MAKERS = {
+    "alpha_sweep": None,
+    "sweep_flips": None,
+    "_shares_values": _Tracked,
+    "_shares_record": _TrackedDict,
+    "_transition_lines": lambda result: (_Tracked(result[0]), result[1]),
+}
+
+
+def _replaced(values: tuple, index: int, value) -> tuple:
+    return (*values[:index], value, *values[index + 1:])
+
+
 class TestOneRecordAtATime:
-    # A CSV sweep builds its records with sweep_flips, a JSON one with alpha_sweep.
     @pytest.mark.parametrize("fmt, command, name", [
-        ("json", "compute", "decompose_shares"),
-        ("csv", "compute", "decompose_shares"),
+        ("json", "compute", "_shares_record"),
+        ("csv", "compute", "_shares_values"),
         ("json", "sweep", "alpha_sweep"),
         ("csv", "sweep", "sweep_flips"),
-        ("json", "transitions", "nature_transitions"),
-        ("csv", "transitions", "nature_transitions"),
+        ("json", "transitions", "_transition_lines"),
+        ("csv", "transitions", "_transition_lines"),
     ])
     def test_at_most_two_records_alive(self, tmp_path, monkeypatch, capsys, command, name, fmt):
-        """The record being built and the one last written; 120 groups, 60 panels."""
+        """The record being built and the one last written; 120 groups, 60 panels.
+        Each is built once the writing has begun, as the writer draws it."""
         table = tmp_path / "flows.csv"
         table.write_text(HEADER + "\n" + "".join(
             f"{period},FRA,DEU,{code},116,100,100,100,kg\n"
             for period in ("2020", "2021") for code in range(60)
         ))
-        alive = peak = 0
+        alive = peak = early = 0
+        writing = False
 
         def dead():
             nonlocal alive
             alive -= 1
 
+        def started(write):
+            def call(*args):
+                nonlocal writing
+                writing = True
+                return write(*args)
+
+            return call
+
         def counted(*args):
-            nonlocal alive, peak
+            nonlocal alive, peak, early
+            early += not writing
             record = real(*args)
-            weakref.finalize(record, dead)
+            if make is not None:
+                record = make(record)
+            weakref.finalize(record[0] if name == "_transition_lines" else record, dead)
             alive += 1
             peak = max(peak, alive)
             return record
 
-        real = getattr(cli, name)
+        real, make = getattr(cli, name), _RECORD_MAKERS[name]
         monkeypatch.setattr(cli, name, counted)
+        for writer in ("_write_csv", "_write_json"):
+            monkeypatch.setattr(cli, writer, started(getattr(cli, writer)))
         assert run(command, "--input", table, "--format", fmt) == 0
         capsys.readouterr()
         assert 1 <= peak <= 2
+        assert early == 0
 
     @pytest.mark.parametrize("command", ["compute", "sweep"])
     @pytest.mark.parametrize("fmt", ["json", "csv"])
@@ -1090,7 +1184,12 @@ class TestOneRecordAtATime:
 
 
 def _count_groups(monkeypatch) -> dict[str, int]:
-    """Swap in an IndustryGroup that counts the groups built, alive, and most alive at once."""
+    """Count the groups the runners' walks build, alive, and most alive at once.
+
+    `_groups` builds its groups through their slots, past any __init__, so
+    each walk's groups are swapped for counted copies, which the runner
+    then holds in place of the originals.
+    """
     counts = {"built": 0, "alive": 0, "peak": 0}
 
     def dead():
@@ -1106,7 +1205,12 @@ def _count_groups(monkeypatch) -> dict[str, int]:
             counts["alive"] += 1
             counts["peak"] = max(counts["peak"], counts["alive"])
 
-    monkeypatch.setattr(trade_data, "IndustryGroup", Counted)
+    def counted_groups(ordered, mapping):
+        for group in real(ordered, mapping):
+            yield Counted(group.group_id, group.members)
+
+    real = cli._groups
+    monkeypatch.setattr(cli, "_groups", counted_groups)
     return counts
 
 

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import gc
 import io
 import math
@@ -374,7 +375,7 @@ _ODD_ROWS = [
     b'"2020",FRA,DEU,1,5,1,,,',  # a quoted key field, its quotes not part of the key
     b'2020,FRA,DEU,"1\n2",1,1,,,',  # a quoted field over two lines: one row
     b"",  # a blank line, counted as a row and skipped
-    b"2020,FRA,DEU,\x00,1,1,,,",  # a NUL, which csv refuses before Python 3.11
+    b"2020,FRA,DEU,\x00,1,1,,,",  # a NUL, which the row path refuses on every Python version
     b"2020,FRA,DEU,\xff,1,1,,,",  # not UTF-8
     b"2020,FRA,DEU,1," + b"7" * 131_073 + b",1,,,",  # a field past csv's default limit
     b"2020,FRA,DEU,1,1,1,,",  # eight fields
@@ -730,6 +731,63 @@ def test_grouping_matches_the_bucket_oracle(flows_and_map, policy):
     assert apply_grouping(iter(flows), mapping, policy) == expected
 
 
+def _constructed(record):
+    """`record` built again by its class's constructor, from its fields."""
+    return type(record)(*(getattr(record, f.name) for f in dataclasses.fields(record)))
+
+
+@given(_block_tables(), st.booleans())
+@settings(max_examples=200)
+def test_slot_built_flows_equal_constructed_ones(raw, binary):
+    """Each flow `_merge` fills through its slots equals the one IndustryFlow(...) builds,
+    with the same hash and repr, from a binary or a text source."""
+    try:
+        source = io.BytesIO(raw) if binary else io.StringIO(raw.decode(), newline="")
+        flows = read_flows(source).flows
+    except (UnicodeDecodeError, FlowParseError, UnitConflictError, OverflowError):
+        return
+    for flow in flows:
+        built = _constructed(flow)
+        assert type(flow) is IndustryFlow
+        assert (flow, hash(flow), repr(flow)) == (built, hash(built), repr(built))
+
+
+@given(_flows_and_maps())
+def test_slot_built_groups_equal_constructed_ones(flows_and_map):
+    flows, mapping = flows_and_map
+    for group in apply_grouping(flows, mapping):
+        built = _constructed(group)
+        assert type(group) is IndustryGroup
+        assert (group, hash(group), repr(group)) == (built, hash(built), repr(built))
+
+
+@pytest.mark.parametrize("cls, setters", [
+    (IndustryFlow, trade_data._FLOW_SETTERS), (IndustryGroup, trade_data._GROUP_SETTERS),
+])
+def test_slot_setters_fill_all_that_init_would(cls, setters):
+    """The merge and the grouping skip __init__: the setters must cover every field,
+    and __post_init__, if any, may only check. Every slot is a field, so a
+    __post_init__ could only rewrite a field, which would show here."""
+    names = tuple(f.name for f in dataclasses.fields(cls))
+    assert cls.__slots__ == names
+    assert tuple(setter.__self__.__name__ for setter in setters) == names
+    if cls is IndustryFlow:
+        assert not hasattr(cls, "__post_init__")
+        return
+    group = next(trade_data._groups(parse(f"{HEADER}\n2020,FRA,DEU,1,5,8,,,\n").flows, None))
+    fields = [getattr(group, name) for name in names]
+    assert group.__post_init__() is None
+    assert all(getattr(group, name) is field for name, field in zip(names, fields))
+
+
+def test_public_group_construction_checks_its_members():
+    a, b = (IndustryFlow(FlowKey(period, "FRA", "DEU", "1"), 1.0, 1.0) for period in ("2020", "2021"))
+    with pytest.raises(ValueError, match="group 'G' has no members"):
+        IndustryGroup("G", ())
+    with pytest.raises(ValueError, match="group 'G' mixes snapshots"):
+        IndustryGroup("G", (a, b))
+
+
 def test_group_total_is_a_left_fold():
     # sum() compensates float rounding from Python 3.12 and would give
     # 1.0000000000000002e16 here; each 1.0 added to 1e16 rounds away.
@@ -765,6 +823,19 @@ def test_grouping_map_oversized_field_rejected_with_row_number(head, row_number)
         read_grouping_map(io.StringIO(head + '"' + "y" * 140_000 + "\n"))
     assert exc.value.row_number == row_number
     assert "field limit" in exc.value.reason
+
+
+@pytest.mark.parametrize("binary", [False, True], ids=["text", "bytes"])
+@pytest.mark.parametrize("read, table", [
+    (read_flows, f"{HEADER}\n2020,F\0RA,DEU,1,1,1,,,\n2020,FRA,DEU,2,1,1,,,\n"),
+    (read_flows, f'{HEADER}\n2020,FRA,DEU,"1\n\0",1,1,,,\n'),  # in a quoted field's second line
+    (read_grouping_map, "industry_code,group_id\n1,\0G\n"),
+])
+def test_nul_rejected_with_row_number_on_every_version(binary, read, table):
+    """The csv module accepts a NUL from Python 3.11 on; the row path refuses it."""
+    with pytest.raises(FlowParseError) as exc:
+        read(io.BytesIO(table.encode()) if binary else io.StringIO(table))
+    assert (exc.value.row_number, exc.value.reason) == (2, "line contains NUL")
 
 
 def test_grouping_map_bytes_decoded_and_invalid_utf8_rejected_with_row_number():
