@@ -147,9 +147,12 @@ class IndustryGroup:
 
 
 def _slot_setters(cls: type) -> tuple:
-    """The setter of each field's slot, in field order: `object.__new__(cls)` and
-    one call of each fills a record as its `__init__` would, at about a quarter
-    of the cost. Only for records whose class has no `__post_init__`."""
+    """The setter of each field's slot, in field order.
+
+    `object.__new__(cls)` and one call of each fill a record as `__init__`
+    would, at under half the cost, but skip `__post_init__`: use them only
+    where it has nothing to do, or only checks what the caller ensures.
+    """
     return tuple(getattr(cls, f.name).__set__ for f in fields(cls))
 
 
@@ -362,9 +365,9 @@ def _merge(rows: Iterable[_Row]) -> CleanResult:
     of the key. The flows are made last, the last key first: each key and its
     slot are freed as its flow is made, so the joined keys are never alive
     beside the FlowKeys. Each flow is filled through its slots, as
-    `IndustryFlow(...)` would fill it. Equal key fields and units are one string, shared
-    through a table private to the call. Not sys.intern: its strings are
-    global, and never freed on some Python versions.
+    `IndustryFlow(...)` would fill it. Equal key fields and units are one
+    string, shared through a table private to the call. Not sys.intern: its
+    strings are global, and never freed on some Python versions.
     """
     acc: dict[_Key, tuple] = {}
     get = acc.get
