@@ -1069,11 +1069,11 @@ class TestFirstError:
 
 
 class _Tracked(list):
-    """A list that a weakref can follow, unlike a tuple."""
+    """A list that a weakref can follow, unlike a plain list or a tuple."""
 
 
 class _TrackedDict(dict):
-    pass
+    """A dict that a weakref can follow."""
 
 
 # What each runner builds one of per group or panel, and how to make it
@@ -1091,6 +1091,7 @@ _RECORD_MAKERS = {
 
 
 def _replaced(values: tuple, index: int, value) -> tuple:
+    """`values` with the one at `index` replaced by `value`."""
     return (*values[:index], value, *values[index + 1:])
 
 
