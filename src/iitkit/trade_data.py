@@ -6,12 +6,12 @@ Input tables are UTF-8 comma-separated files with the mandatory header
 
 Lines end at LF, CRLF or a bare CR, and a byte-order mark at the very start
 is ignored. A binary flow table is read in blocks of whole lines, about 16 KiB
-each; a block of plain lines is split and checked a column at a time. A block
-that holds a quote, a line the checks refuse or a byte that is not UTF-8 is
-read a row at a time through the csv reader, with the blocks after it while a
-quoted field is open, and the next block is offered to the column checks
-again. Either way the first fault in row order is the one reported, with the
-same message and row number. The caller's stream is never closed or seeked.
+each, and a block of plain lines is split into columns. The header block, a
+block the split cannot read and a text source go through the csv reader, and
+their rows are put into columns in batches. All columns pass one set of
+checks; where it refuses, a walk in row order names the first fault, with the
+same message and row number whatever the route. The caller's stream is never
+closed or seeked.
 
 Empty quantity/unit cells mean "not reported". Records sharing a
 (period, reporter, partner, industry_code) key are merged by summation;
@@ -173,15 +173,14 @@ class CleanResult:
     rows_read: int
 
 
-# A row's key as the merge holds it: the four key fields joined by commas, one
-# string to hash and compare, or their tuple when a field holds a comma itself,
-# which only a quoted field can.
-_Key = str | tuple[str, str, str, str]
-# One validated row, ready to merge: (key, X, M, x, m, unit).
-_Row = tuple[_Key, float, float, float | None, float | None, str | None]
+# One checked row, ready to merge: (key, X, M, x, m, unit). The key is the
+# four key fields joined by NULs, one string to hash and compare: `_split` and
+# `_without_nul` refuse a NUL, so no field holds one, even a quoted field that
+# holds a comma.
+_Row = tuple[str, float, float, float | None, float | None, str | None]
 
 
-def _parse_value(cell: str, column: str, row_number: int) -> float:
+def _check_value(cell: str, column: str, row_number: int) -> None:
     try:
         value = float(cell)
     except ValueError:
@@ -192,16 +191,10 @@ def _parse_value(cell: str, column: str, row_number: int) -> float:
         raise FlowParseError(row_number, f"{column} is negative ({cell})")
     if value == math.inf:
         raise FlowParseError(row_number, f"{column} is not finite ({cell})")
-    return value
-
-
-def _parse_optional_value(cell: str, column: str, row_number: int) -> float | None:
-    if cell == "":
-        return None
-    return _parse_value(cell, column, row_number)
 
 
 _BLOCK = 1 << 14  # bytes a read asks for; larger blocks read no faster and hold more at once
+_BATCH = 1024  # rows of a span or a text source checked at once
 
 
 def _blocks(binary: IO[bytes]) -> Iterator[bytes]:
@@ -224,14 +217,26 @@ def _blocks(binary: IO[bytes]) -> Iterator[bytes]:
         yield rest
 
 
-def _lines(blocks: Iterable[bytes]) -> Iterator[str]:
-    """The lines of `blocks`, each decoded as UTF-8 only when it is asked for.
+class _Span:
+    """The lines of `block` and of the blocks after it, each decoded when it is reached.
 
-    Lines keep their ending. A line that is not UTF-8 raises
-    UnicodeDecodeError only when it is reached, after every earlier line.
+    `lines` counts the lines of the blocks taken so far. Given a span,
+    `_table` ends it at the end of the first of its blocks where no quoted
+    field is open, so a quoted field that spans lines costs the csv reader
+    only the blocks it touches, and sets `row_number` to its last row's.
     """
-    for block in blocks:
-        yield from map(bytes.decode, block.splitlines(keepends=True))
+
+    def __init__(self, block: bytes, blocks: Iterator[bytes]):
+        self.block, self.blocks = block, blocks
+        self.lines = self.row_number = 0
+
+    def __iter__(self) -> Iterator[str]:
+        block = self.block
+        while block:
+            lines = block.splitlines(keepends=True)
+            self.lines += len(lines)
+            yield from map(bytes.decode, lines)
+            block = next(self.blocks, b"")
 
 
 def _without_nul(lines: Iterable[str]) -> Iterator[str]:
@@ -255,7 +260,7 @@ def _table(
 ) -> Iterator[tuple[int, list[str]]]:
     """Check a CSV table's header, then yield (row number, fields) for each non-blank row.
 
-    `source` is a binary stream, read by `_blocks` and decoded by `_lines`,
+    `source` is a binary stream, read by `_blocks` and decoded by `_Span`,
     or text. One U+FEFF (the byte-order mark of "CSV UTF-8" exports) at the
     very start is dropped; anywhere else it is data. Rows count from 1 at
     the header. A `row_number` above 0 says that `source` holds the rest of
@@ -265,11 +270,13 @@ def _table(
     line is the last line of the span's blocks so far. Raises
     FlowParseError naming the row at fault: a missing or wrong header, a
     wrong number of fields, a record the csv module rejects (a field past
-    its size limit), a line holding a NUL or bytes that are not UTF-8.
+    its size limit), a line holding a NUL or bytes that are not UTF-8. The
+    cells are left to the caller: `read_flows` checks them in `_batches`.
     """
     span = source if isinstance(source, _Span) else None
     if _is_binary(source):
-        source = _lines(_blocks(source))
+        blocks = _blocks(source)
+        source = _Span(next(blocks, b""), blocks)
     lines = _without_nul(source)
     try:
         if row_number:
@@ -297,60 +304,6 @@ def _table(
         raise FlowParseError(row_number + 1, reason) from None
 
 
-def _validated_rows(
-    source: IO[bytes] | IO[str] | Iterable[str], row_number: int = 0
-) -> Iterator[_Row]:
-    """Validate each data row of a flow table and yield it as a plain tuple.
-
-    `source` and `row_number` are as `_table` takes them. Raises
-    FlowParseError with the offending 1-based row number on any malformed
-    row.
-    """
-    inf = math.inf
-    for row_number, row in _table(source, EXPECTED_HEADER, row_number):
-        period, reporter, partner, code, xv, mv, xq, mq, unit = row
-        try:
-            # Fast path: `not 0 <= v < inf` catches negatives, NaN and
-            # infinities. The slow path re-parses field by field so the error
-            # names the offending column.
-            export_value = float(xv)
-            import_value = float(mv)
-            export_volume = float(xq) if xq else None
-            import_volume = float(mq) if mq else None
-            ok = (
-                0 <= export_value < inf
-                and 0 <= import_value < inf
-                and (export_volume is None or 0 <= export_volume < inf)
-                and (import_volume is None or 0 <= import_volume < inf)
-            )
-        except ValueError:
-            ok = False
-        if not ok:
-            _parse_value(xv, "export_value", row_number)
-            _parse_value(mv, "import_value", row_number)
-            _parse_optional_value(xq, "export_qty", row_number)
-            _parse_optional_value(mq, "import_qty", row_number)
-            raise FlowParseError(row_number, f"unparseable row {row!r}")
-        if not (period and reporter and partner and code):
-            raise FlowParseError(row_number, "empty key field")
-        if not unit:
-            if export_volume is not None or import_volume is not None:
-                raise FlowParseError(row_number, "quantity present without qty_unit")
-            unit = None
-        if "," in period or "," in reporter or "," in partner or "," in code:
-            key = period, reporter, partner, code  # a quoted field held the comma
-        else:
-            key = f"{period},{reporter},{partner},{code}"
-        yield (
-            key,
-            export_value,
-            import_value,
-            export_volume,
-            import_volume,
-            unit,
-        )
-
-
 def _merge(rows: Iterable[_Row]) -> CleanResult:
     """Merge rows sharing a key by summation and drop zero-trade industries.
 
@@ -362,14 +315,15 @@ def _merge(rows: Iterable[_Row]) -> CleanResult:
     volume total leaves the float range, the first such key in row order.
 
     A key's sums are one (X, M, x, m, unit) tuple, replaced by each later row
-    of the key. The flows are made last, the last key first: each key and its
-    slot are freed as its flow is made, so the joined keys are never alive
-    beside the FlowKeys. Each flow is filled through its slots, as
-    `IndustryFlow(...)` would fill it. Equal key fields and units are one
-    string, shared through a table private to the call. Not sys.intern: its
-    strings are global, and never freed on some Python versions.
+    of the key. The flows are made last, the last key first: each key is
+    split at its NULs, and it and its slot are freed, as its flow is made,
+    so the joined keys are never alive beside the FlowKeys. Each flow is
+    filled through its slots, as `IndustryFlow(...)` would fill it. Equal
+    key fields and units are one string, shared through a table private to
+    the call. Not sys.intern: its strings are global, and never freed on
+    some Python versions.
     """
-    acc: dict[_Key, tuple] = {}
+    acc: dict[str, tuple] = {}
     get = acc.get
     share, new_key, new = {}.setdefault, tuple.__new__, object.__new__
     set_key, set_xv, set_mv, set_xq, set_mq, set_unit = _FLOW_SETTERS
@@ -378,13 +332,11 @@ def _merge(rows: Iterable[_Row]) -> CleanResult:
         rows_read += 1
         slot = get(key)
         if slot is None:
-            if key.__class__ is tuple:  # its fields shared now, a joined key's at the end
-                key = tuple(map(share, key, key))
             acc[key] = (xv, mv, xq, mq, share(unit, unit))
             continue
         sx, sm, sxq, smq, sunit = slot
         if unit is not None and sunit is not None and unit != sunit:
-            raise UnitConflictError(FlowKey(*_key_fields(key)), (sunit, unit))
+            raise UnitConflictError(FlowKey(*key.split("\0")), (sunit, unit))
         acc[key] = (
             sx + xv, sm + mv,
             None if xq is None or sxq is None else sxq + xq,
@@ -400,7 +352,7 @@ def _merge(rows: Iterable[_Row]) -> CleanResult:
             dropped += 1
             continue
         # tuple.__new__ builds the FlowKey without its __new__, which is Python code.
-        period, reporter, partner, code = _key_fields(key)
+        period, reporter, partner, code = key.split("\0")
         key = new_key(FlowKey, (
             share(period, period), share(reporter, reporter),
             share(partner, partner), share(code, code),
@@ -425,67 +377,36 @@ def _merge(rows: Iterable[_Row]) -> CleanResult:
     return CleanResult(tuple(flows), dropped, rows_read)
 
 
-def _key_fields(key: _Key) -> Sequence[str]:
-    """The four fields of a merge key."""
-    return key.split(",") if isinstance(key, str) else key
-
-
 def _row_blocks(blocks: Iterator[bytes]) -> Iterator[Iterable[_Row]]:
-    """The validated rows of a binary flow table, one iterable per block of lines.
+    """The checked rows of a binary flow table, one iterable per split block or batch.
 
-    The first block, which holds the header, and each block that
-    `_block_rows` refuses go through `_validated_rows` as a `_Span`, with
-    the row number carried: the row path checks the header and reports the
-    first fault in row order with its usual message. Each other block is
-    one zip over its columns.
+    Each block but the first is offered to `_split`, and its columns go to
+    `_checked` with the row number carried. The first block, which holds the
+    header, and each block that `_split` refuses go to `_table` as a `_Span`.
     """
     span = _Span(next(blocks, b""), blocks)
-    yield _validated_rows(span)
+    yield from _batches(_table(span, EXPECTED_HEADER))
     limit, row_number = csv.field_size_limit(), span.row_number
     for block in blocks:
-        accepted = _block_rows(block, limit)
-        if accepted is not None:
-            lines, rows = accepted
-            row_number += lines
-            yield rows
+        split = _split(block, limit)
+        if split is None:
+            span = _Span(block, blocks)
+            yield from _batches(_table(span, EXPECTED_HEADER, row_number))
+            row_number = span.row_number
             continue
-        span = _Span(block, blocks)
-        yield _validated_rows(span, row_number)
-        row_number = span.row_number
+        lines, columns = split
+        yield _checked(range(row_number + 1, row_number + lines + 1), columns)
+        row_number += lines
 
 
-class _Span:
-    """A block's lines for the row path, and each later block's while a record is open.
+def _split(block: bytes, limit: int) -> tuple[int, list[list[str]]] | None:
+    """A block of whole lines as (its line count, its nine columns), split at each comma.
 
-    `_table` ends a span at the end of the first of its blocks where no
-    quoted field is open, so a quoted field that spans lines costs the row
-    path only the blocks it touches, and sets `row_number` to the number of
-    its last row. `lines` counts the lines of the blocks taken so far.
-    """
-
-    def __init__(self, block: bytes, blocks: Iterator[bytes]):
-        self.block, self.blocks = block, blocks
-        self.lines = self.row_number = 0
-
-    def __iter__(self) -> Iterator[str]:
-        block = self.block
-        while block:
-            lines = block.splitlines(keepends=True)
-            self.lines += len(lines)
-            yield from map(bytes.decode, lines)
-            block = next(self.blocks, b"")
-
-
-def _block_rows(block: bytes, limit: int) -> tuple[int, Iterator[_Row]] | None:
-    """A block of whole lines as (its line count, its rows as `_validated_rows` yields them).
-
-    The block is decoded and split once, and every check runs on a whole
-    column at a time, in C. None when the row path could read a line
-    otherwise than a split at each comma does (a quote, a field of at least
-    the csv field size `limit`, bytes that are not UTF-8, a line that is
-    not nine fields, a blank one included) or would refuse one: a NUL, an
-    empty key field, a value outside 0 <= v < inf or a quantity without a
-    unit.
+    The block is decoded and split once. None when the csv reader could read
+    a line otherwise than a split at each comma does, or would refuse one: a
+    quote, a NUL, bytes that are not UTF-8, a line that is not nine fields
+    (a blank one included) or a field of at least the csv field size
+    `limit`.
     """
     if b'"' in block or b"\0" in block:
         return None
@@ -505,14 +426,59 @@ def _block_rows(block: bytes, limit: int) -> tuple[int, Iterator[_Row]] | None:
         return None
     if len(text) >= limit and max(map(len, fields)) >= limit:
         return None
-    period, reporter, partner, code, xv, mv, xq, mq, unit = (
-        fields[i::width] for i in range(width - 1)
-    )
+    return lines, [fields[i::width] for i in range(width - 1)]
+
+
+def _batches(table: Iterator[tuple[int, list[str]]]) -> Iterator[Iterable[_Row]]:
+    """The rows `_table` yields, checked `_BATCH` at a time.
+
+    When `table` raises, the rows it yielded before are given first, so that
+    a fault or a unit conflict among them is the one reported.
+    """
+
+    def checked(batch: list[tuple[int, list[str]]]) -> Iterable[_Row]:
+        numbers, rows = zip(*batch)
+        return _checked(numbers, list(zip(*rows)))
+
+    batch = []
+    try:
+        for numbered in table:
+            batch.append(numbered)
+            if len(batch) == _BATCH:
+                yield checked(batch)
+                batch = []
+    except FlowParseError:
+        if batch:
+            yield checked(batch)
+        raise
+    if batch:
+        yield checked(batch)
+
+
+def _checked(numbers: Sequence[int], columns: Sequence[Sequence[str]]) -> Iterable[_Row]:
+    """The rows of nine columns, numbered `numbers`, for the merge.
+
+    Where `_column_rows` refuses them, `_first_fault` gives the rows before
+    the first fault, then raises it.
+    """
+    rows = _column_rows(*columns)
+    return _first_fault(numbers, columns) if rows is None else rows
+
+
+def _column_rows(*columns: Sequence[str]) -> Iterator[_Row] | None:
+    """The rows of nine columns of cells, as one zip over the columns, or None.
+
+    Each row rule is decided here, a column at a time, in C. None when a key
+    field is empty, a value or quantity is not a number in 0 <= v < inf, or
+    a quantity has no unit. An empty quantity or unit cell is not reported:
+    None.
+    """
+    period, reporter, partner, code, xv, mv, xq, mq, unit = columns
     if "" in period or "" in reporter or "" in partner or "" in code:
         return None
     try:
         columns = [list(map(float, xv)), list(map(float, mv))]
-        for cells in xq, mq:  # an empty cell is a quantity not reported: None
+        for cells in xq, mq:
             columns.append(
                 list(map(float, cells)) if "" not in cells
                 else [float(cell) if cell else None for cell in cells]
@@ -532,7 +498,35 @@ def _block_rows(block: bytes, limit: int) -> tuple[int, Iterator[_Row]] | None:
         if any(compress(xq, unitless)) or any(compress(mq, unitless)):
             return None
         unit = map({"": None}.get, unit, unit)
-    return lines, zip(map(",".join, zip(period, reporter, partner, code)), *columns, unit)
+    return zip(map("\0".join, zip(period, reporter, partner, code)), *columns, unit)
+
+
+def _first_fault(numbers: Sequence[int], columns: Sequence[Sequence[str]]) -> Iterator[_Row]:
+    """The rows before the first fault in columns `_column_rows` refused, then the fault.
+
+    The FlowParseError names the row and its first faulty column. Raises
+    RuntimeError, before any row, where the walk finds no fault.
+    """
+    for at, row in enumerate(zip(*columns)):
+        period, reporter, partner, code, xv, mv, xq, mq, unit = row
+        row_number = numbers[at]
+        try:
+            _check_value(xv, "export_value", row_number)
+            _check_value(mv, "import_value", row_number)
+            for cell, column in (xq, "export_qty"), (mq, "import_qty"):
+                if cell:
+                    _check_value(cell, column, row_number)
+            if not (period and reporter and partner and code):
+                raise FlowParseError(row_number, "empty key field")
+            if (xq or mq) and not unit:
+                raise FlowParseError(row_number, "quantity present without qty_unit")
+        except FlowParseError as exc:
+            fault = exc
+            break
+    else:
+        raise RuntimeError("the column checks refused rows in which the walk finds no fault")
+    yield from _checked(numbers, [column[:at] for column in columns])
+    raise fault
 
 
 def read_flows(source: IO[bytes] | IO[str] | Iterable[str]) -> CleanResult:
@@ -546,23 +540,20 @@ def read_flows(source: IO[bytes] | IO[str] | Iterable[str]) -> CleanResult:
     a key whose records disagree on the volume unit and OverflowError on a
     key whose totals exceed the float range.
 
-    A binary stream is read in blocks of whole lines, about 16 KiB each. A
-    block whose every line passes the row checks is split and checked a
-    column at a time, and the merge draws its rows from a zip over the
-    columns. A block that does not is read a row at a time, with the blocks
-    after it while a quoted field is open, and the next block is tried
-    again. So the first fault in row order, between a bad row and a unit
-    conflict too, is the one reported, with the same message and row number
-    as a text stream gives.
+    Every row passes one set of checks, `_column_rows`, and the first fault
+    in row order, between a bad row and a unit conflict too, is the one
+    reported, with the same message and row number whatever the route.
 
-    The merge keys each row by its key fields joined by commas, one string
-    to hash and compare. Equal strings among the key fields and units of the
+    The merge keys each row by its key fields joined by NULs, one string to
+    hash and compare. Equal strings among the key fields and units of the
     flows are one shared object, so a flow costs its numbers and its key:
     about 300 B at the peak, no string copies.
     """
     if _is_binary(source):
-        return _merge(chain.from_iterable(_row_blocks(_blocks(source))))
-    return _merge(_validated_rows(source))
+        rows = _row_blocks(_blocks(source))
+    else:
+        rows = _batches(_table(source, EXPECTED_HEADER))
+    return _merge(chain.from_iterable(rows))
 
 
 def apply_grouping(

@@ -343,6 +343,7 @@ def test_criterion_8_ingestion_robustness(million_row_fixture, tmp_path):
             "malformed_not_a_number.csv": "row 4",
             "malformed_missing_unit.csv": "row 2",
             "malformed_short_row.csv": "row 2",
+            "malformed_quoted_negative.csv": "row 4",
         }
         for name, row_ref in expected_rows.items():
             proc = _run_cli(["compute", "--input", str(FIXTURES / name)])

@@ -20,7 +20,6 @@ from iitkit.trade_data import (
     UnmappedCodeError,
     _BLOCK,
     _table,
-    _validated_rows,
     apply_grouping,
     read_flows,
     read_grouping_map,
@@ -267,6 +266,68 @@ class TestPairAndClean:
         )
 
 
+def _reference_value(cell: str, column: str, row_number: int) -> float:
+    try:
+        value = float(cell)
+    except ValueError:
+        raise FlowParseError(row_number, f"{column} {cell!r} is not a number") from None
+    if value != value:  # NaN
+        raise FlowParseError(row_number, f"{column} is NaN")
+    if value < 0:
+        raise FlowParseError(row_number, f"{column} is negative ({cell})")
+    if value == math.inf:
+        raise FlowParseError(row_number, f"{column} is not finite ({cell})")
+    return value
+
+
+def _reference_optional_value(cell: str, column: str, row_number: int) -> float | None:
+    if cell == "":
+        return None
+    return _reference_value(cell, column, row_number)
+
+
+def _reference_rows(source, row_number: int = 0):
+    """The row path of read_flows as it stood before its checks ran on columns: the oracle.
+
+    Frozen here, so that it does not follow the code it checks. Yields each
+    row as (key, X, M, x, m, unit), the key its fields joined by commas, or
+    their tuple if one holds a comma.
+    """
+    inf = math.inf
+    for row_number, row in _table(source, trade_data.EXPECTED_HEADER, row_number):
+        period, reporter, partner, code, xv, mv, xq, mq, unit = row
+        try:
+            export_value = float(xv)
+            import_value = float(mv)
+            export_volume = float(xq) if xq else None
+            import_volume = float(mq) if mq else None
+            ok = (
+                0 <= export_value < inf
+                and 0 <= import_value < inf
+                and (export_volume is None or 0 <= export_volume < inf)
+                and (import_volume is None or 0 <= import_volume < inf)
+            )
+        except ValueError:
+            ok = False
+        if not ok:
+            _reference_value(xv, "export_value", row_number)
+            _reference_value(mv, "import_value", row_number)
+            _reference_optional_value(xq, "export_qty", row_number)
+            _reference_optional_value(mq, "import_qty", row_number)
+            raise FlowParseError(row_number, f"unparseable row {row!r}")
+        if not (period and reporter and partner and code):
+            raise FlowParseError(row_number, "empty key field")
+        if not unit:
+            if export_volume is not None or import_volume is not None:
+                raise FlowParseError(row_number, "quantity present without qty_unit")
+            unit = None
+        if "," in period or "," in reporter or "," in partner or "," in code:
+            key = period, reporter, partner, code
+        else:
+            key = f"{period},{reporter},{partner},{code}"
+        yield key, export_value, import_value, export_volume, import_volume, unit
+
+
 def _reference_merge(rows):
     """read_flows' merge as a dict of row lists, each folded at the end: the oracle.
 
@@ -349,7 +410,7 @@ def test_merge_matches_the_reference(body):
     if isinstance(result, CleanResult):
         result = result.flows, result.dropped_zero_trade, result.rows_read
     assert result == _outcome(
-        lambda: _reference_merge(_validated_rows(io.StringIO(f"{HEADER}\n{body}")))
+        lambda: _reference_merge(_reference_rows(io.StringIO(f"{HEADER}\n{body}")))
     )
 
 
@@ -365,7 +426,7 @@ def test_first_fault_in_row_order_wins_between_merge_and_parse(body, error):
     with pytest.raises(error) as exc:
         parse(f"{HEADER}\n{body}")
     assert _outcome(
-        lambda: _reference_merge(_validated_rows(io.StringIO(f"{HEADER}\n{body}")))
+        lambda: _reference_merge(_reference_rows(io.StringIO(f"{HEADER}\n{body}")))
     ) == (error, str(exc.value))
 
 
@@ -433,7 +494,7 @@ def test_blocks_match_the_row_path(raw):
     result = _outcome(lambda: read_flows(io.BytesIO(raw)))
     if isinstance(result, CleanResult):
         result = result.flows, result.dropped_zero_trade, result.rows_read
-    assert result == _outcome(lambda: _reference_merge(_validated_rows(io.BytesIO(raw))))
+    assert result == _outcome(lambda: _reference_merge(_reference_rows(io.BytesIO(raw))))
 
 
 # Odd rows the block reader refuses but the row path accepts, and a fault.
@@ -491,12 +552,13 @@ def test_spans_match_the_row_path(raw):
     result = _outcome(lambda: read_flows(io.BytesIO(raw)))
     if isinstance(result, CleanResult):
         result = result.flows, result.dropped_zero_trade, result.rows_read
-    assert result == _outcome(lambda: _reference_merge(_validated_rows(io.BytesIO(raw))))
+    assert result == _outcome(lambda: _reference_merge(_reference_rows(io.BytesIO(raw))))
 
 
 def test_blocks_after_a_quoted_field_are_read_in_columns(monkeypatch):
-    # The quoted field spans the second block's end, so the row path reads
-    # the first block, with the header, then the second and third.
+    # The quoted field spans the second block's end, so the csv reader reads
+    # the first block, with the header, then the second and third; `_split`
+    # refuses the second and splits every block after the third.
     plain = b"".join(b"2020,FRA,DEU,%d,1,1,,,\n" % (i % 50) for i in range(1000))
     head = HEADER.encode() + b"\n" + plain
     raw = (
@@ -504,17 +566,82 @@ def test_blocks_after_a_quoted_field_are_read_in_columns(monkeypatch):
         + b'2020,FRA,DEU,"1\n2",1,1,,,\n' + plain * 5
     )
     assert list(trade_data._blocks(io.BytesIO(raw)))[1].endswith(b'"1\n')
-    block_rows, offered = trade_data._block_rows, []
+    split, offered = trade_data._split, []
 
     def offer(block, limit):
-        accepted = block_rows(block, limit)
+        accepted = split(block, limit)
         offered.append(accepted is not None)
         return accepted
 
-    monkeypatch.setattr(trade_data, "_block_rows", offer)
+    monkeypatch.setattr(trade_data, "_split", offer)
     result = read_flows(io.BytesIO(raw))
     assert (result.rows_read, len(result.flows)) == (6002, 52)
     assert offered[0] is False and len(offered) > 5 and all(offered[1:])
+
+
+_SOUND_VALUES = ["0", "-0", "1", "2.5", " 3 ", "1_0", "1e308"]
+_FAULTY_VALUES = ["", "-1", "-1e-300", "nan", "-nan", "inf", "1e999", "x"]
+
+
+@st.composite
+def _cell_batches(draw) -> list[tuple[str, ...]]:
+    """Up to 12 rows of nine cells, some with faulty cells of every kind.
+
+    A row is sound until up to two of its cells are replaced: a key cell by
+    "", a value or quantity cell by a faulty value, the unit by "".
+    """
+    rows = []
+    for _ in range(draw(st.integers(0, 12))):
+        row = [draw(st.sampled_from(["2020", "FRA", "1"])) for _ in range(4)]
+        row += [draw(st.sampled_from(_SOUND_VALUES)) for _ in range(2)]
+        row += [draw(st.sampled_from(["", *_SOUND_VALUES])) for _ in range(2)]
+        row.append(draw(st.sampled_from(["kg", " "])) if row[6] or row[7] else
+                   draw(st.sampled_from(["", "kg"])))
+        for at in draw(st.lists(st.integers(0, 8), max_size=2)):
+            row[at] = draw(st.sampled_from(_FAULTY_VALUES)) if 4 <= at < 8 else ""
+        rows.append(tuple(row))
+    return rows
+
+
+def _drain(rows, separator: str = "\0") -> tuple[list, tuple | None]:
+    """The rows an iterator gives, each key split at `separator`, and the error it ends with."""
+    taken = []
+    try:
+        for key, *cells in rows:
+            taken.append((tuple(key.split(separator)), *cells))
+    except (FlowParseError, RuntimeError) as exc:
+        return taken, (type(exc), str(exc))
+    return taken, None
+
+
+@given(_cell_batches())
+@settings(max_examples=400)
+def test_column_checks_and_fault_walk_agree(rows):
+    """The column checks refuse a batch exactly when the walk finds a fault, the reference's."""
+    columns = [list(column) for column in zip(*rows)] or [[] for _ in range(9)]
+    numbers = range(2, len(rows) + 2)
+    table = f"{HEADER}\n" + "".join(",".join(row) + "\n" for row in rows)
+    expected = _drain(_reference_rows(io.StringIO(table)), ",")
+    assert (trade_data._column_rows(*columns) is None) == (expected[1] is not None)
+    assert _drain(trade_data._checked(numbers, columns)) == expected
+    walked = _drain(trade_data._first_fault(numbers, columns))
+    if expected[1] is None:
+        assert walked[0] == [] and walked[1][0] is RuntimeError
+    else:
+        assert walked == expected
+
+
+def test_refusal_without_a_fault_is_an_internal_error(monkeypatch):
+    # Column checks that refuse sound rows disagree with the walk: no row is given.
+    monkeypatch.setattr(trade_data, "_column_rows", lambda *columns: None)
+    sound = [["2020"]] * 4 + [["1"], ["1"], [""], [""], [""]]
+    error = RuntimeError, "the column checks refused rows in which the walk finds no fault"
+    assert _drain(trade_data._checked(range(2, 3), sound)) == ([], error)
+    # A sound row, then a faulty one: the walk names row 3, but the sound row is refused too.
+    faulty = [column + [cell] for column, cell in zip(sound, ["2020"] * 4 + ["-1", "1", "", "", ""])]
+    assert _drain(trade_data._checked(range(2, 4), faulty)) == ([], error)
+    with pytest.raises(RuntimeError):
+        read_flows(io.StringIO(f"{HEADER}\n2020,FRA,DEU,1,1,1,,,\n"))
 
 
 class TestReadFlows:
