@@ -477,15 +477,15 @@ def _column_rows(*columns: Sequence[str]) -> Iterator[_Row] | None:
     if "" in period or "" in reporter or "" in partner or "" in code:
         return None
     try:
-        columns = [list(map(float, xv)), list(map(float, mv))]
+        values = [list(map(float, xv)), list(map(float, mv))]
         for cells in xq, mq:
-            columns.append(
+            values.append(
                 list(map(float, cells)) if "" not in cells
                 else [float(cell) if cell else None for cell in cells]
             )
     except ValueError:
         return None
-    for cells, column in zip((xv, mv, xq, mq), columns):
+    for cells, column in zip((xv, mv, xq, mq), values):
         if "" in cells:
             column = list(compress(column, cells))
         total = sum(column)  # NaN if a value is; inf if one is, or if the values overflow
@@ -498,7 +498,7 @@ def _column_rows(*columns: Sequence[str]) -> Iterator[_Row] | None:
         if any(compress(xq, unitless)) or any(compress(mq, unitless)):
             return None
         unit = map({"": None}.get, unit, unit)
-    return zip(map("\0".join, zip(period, reporter, partner, code)), *columns, unit)
+    return zip(map("\0".join, zip(period, reporter, partner, code)), *values, unit)
 
 
 def _first_fault(numbers: Sequence[int], columns: Sequence[Sequence[str]]) -> Iterator[_Row]:
