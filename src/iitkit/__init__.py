@@ -27,6 +27,7 @@ from iitkit.indices import (
 from iitkit.differentiation import (
     Differentiation,
     DifferentiationMethod,
+    IndustryLine,
     SharesReport,
     UnclassifiableReason,
     UnitValueRatio,
@@ -36,7 +37,6 @@ from iitkit.differentiation import (
     unit_value_ratio,
 )
 from iitkit.sensitivity import (
-    SweepFlips,
     SweepResult,
     TransitionReport,
     alpha_sweep,
@@ -60,6 +60,7 @@ __all__ = [
     "vona_synthetic",
     "Differentiation",
     "DifferentiationMethod",
+    "IndustryLine",
     "SharesReport",
     "UnclassifiableReason",
     "UnitValueRatio",
@@ -67,7 +68,6 @@ __all__ = [
     "classify_ghm",
     "decompose_shares",
     "unit_value_ratio",
-    "SweepFlips",
     "SweepResult",
     "TransitionReport",
     "alpha_sweep",

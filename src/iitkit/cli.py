@@ -18,7 +18,7 @@ import math
 import os
 import shutil
 import sys
-from itertools import chain, starmap
+from itertools import chain
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import BinaryIO, Callable, Iterable, Iterator, TypeVar
@@ -26,7 +26,6 @@ from typing import BinaryIO, Callable, Iterable, Iterator, TypeVar
 from iitkit.differentiation import (
     FAMILIES,
     DifferentiationMethod,
-    IndustryDetail,
     Rows,
     SharesReport,
     _CsvTable,
@@ -34,17 +33,17 @@ from iitkit.differentiation import (
     _shares_values,
     _unit_values,
     _write_csv,
+    decompose_shares,
 )
 from iitkit.indices import TradeTypeMethod, check_fraction
 from iitkit.sensitivity import (
     DEFAULT_ALPHA_GRID,
-    Transition,
     _flips_table,
     _period_order,
-    _transition_lines,
-    _transition_values,
+    _transitions_table,
     _validate_alphas,
     alpha_sweep,
+    nature_transitions,
     sweep_flips,
 )
 from iitkit.trade_data import (
@@ -61,15 +60,11 @@ from iitkit.trade_data import (
     read_grouping_map,
 )
 
-# The records of compute and transitions, and the CSV reports as one str each.
-# The CLI builds its report lines without them and does not call these, but
-# perfbench/tracer.py wraps them by their names on this module.
-from iitkit.differentiation import decompose_shares, reports_to_csv  # noqa: F401
-from iitkit.sensitivity import (  # noqa: F401
-    nature_transitions,
-    sweep_flips_to_csv,
-    transitions_to_csv,
-)
+# The CSV reports as one str each. The CLI writes its reports a row at a time
+# and does not call these, but perfbench/tracer.py wraps them by their names
+# on this module, as it wraps the record builders above.
+from iitkit.differentiation import reports_to_csv  # noqa: F401
+from iitkit.sensitivity import sweep_flips_to_csv, transitions_to_csv  # noqa: F401
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -210,22 +205,27 @@ def _table_total(flows: Iterable[IndustryFlow]) -> float:
     return total
 
 
-def _sound(flows: Iterable[IndustryFlow]) -> bool:
-    """Whether `_table_total` proves that no group of `flows` fails `_check_group`."""
+def _check(flows: Iterable[IndustryFlow], groups: Iterable[IndustryGroup]) -> None:
+    """Raise the first error `_check_group` raises on `groups`, in their order, if any.
+
+    `groups` are built from `flows`. A finite `_table_total(flows)` proves
+    that none fails, and then `groups` is not drawn from.
+    """
     try:
-        return _table_total(flows) < math.inf
+        if _table_total(flows) < math.inf:
+            return
     except OverflowError:
-        return False
+        pass
+    for group in groups:
+        _check_group(group)
 
 
 def _checked_stream(
     flows: tuple[IndustryFlow, ...], mapping: dict[str, str] | None, policy: str
 ) -> Iterator[IndustryGroup]:
-    """The groups in order, each built when asked for; first all checked unless `_sound(flows)`."""
+    """The groups in order, each built when asked for, after `_check` on them all."""
     ordered = _group_order(flows, mapping, policy)
-    if not _sound(flows):
-        for group in _groups(ordered, mapping):
-            _check_group(group)
+    _check(flows, _groups(ordered, mapping))
     return _groups(ordered, mapping)
 
 
@@ -390,40 +390,34 @@ def _write_report(
     return EXIT_OK
 
 
-# Each runner first proves the table sound with `_sound`, or else checks every
-# group it will decompose, in the order it decomposes them, so the first data
-# error is raised, with its message, before the report's first byte. The
-# records are then built one at a time as the report is written. compute and
-# transitions build no report record: their lines come as value tuples
-# straight from the member pass, a JSON record as a dict of its members.
-
-
-def _shares_record(
-    group: IndustryGroup, method: DifferentiationMethod, type_method: TradeTypeMethod
-) -> dict:
-    """The members of `decompose_shares(group, method, type_method)`'s JSON form, in order."""
-    industries: list[tuple] = []
-    values = _shares_values(group, method, type_method, industries)
-    return dict(
-        zip(SharesReport.FIELDS, values), industries=Rows(IndustryDetail.FIELDS, industries)
-    )
+# Each runner first checks, with `_check`, every group it will decompose, in
+# the order it decomposes them, so the first data error is raised, with its
+# message, before the report's first byte. The records are then built one at
+# a time as the report is written: the library's own, except in the CSV
+# reports of compute, whose rows are `_shares_values` tuples, and of sweep,
+# whose rows come from `sweep_flips`; neither builds an industry line.
 
 
 def _run_compute(args: argparse.Namespace) -> int:
     groups = _load_groups(args, _checked_stream)
     method = DifferentiationMethod(args.family, args.alpha)
     type_method = _type_method(args)
-    line = _shares_values if args.format == "csv" else _shares_record
-    lines = (line(g, method, type_method) for g in groups)
-    return _write_report(args, "reports", lines, lambda rows: (SharesReport.FIELDS, rows))
+    if args.format == "csv":
+        reports = (_shares_values(g, (method,), type_method)[0] for g in groups)
+    else:
+        reports = (decompose_shares(g, method, type_method) for g in groups)
+    return _write_report(args, "reports", reports, lambda rows: (SharesReport.FIELDS, rows))
 
 
 def _run_sweep(args: argparse.Namespace) -> int:
     groups = _load_groups(args, _checked_stream)
     type_method = _type_method(args)
-    # A CSV report holds only the flips, so it builds no share tables.
-    sweep = sweep_flips if args.format == "csv" else alpha_sweep
-    sweeps = (sweep(g, args.alphas, args.family, type_method) for g in groups)
+    if args.format == "csv":  # a CSV report holds only the flips
+        sweeps = (
+            (g.group_id, sweep_flips(g, args.alphas, args.family, type_method)) for g in groups
+        )
+    else:
+        sweeps = (alpha_sweep(g, args.alphas, args.family, type_method) for g in groups)
     return _write_report(args, "sweeps", sweeps, _flips_table)
 
 
@@ -441,35 +435,15 @@ def _run_transitions(args: argparse.Namespace) -> int:
     for group in groups:
         _, reporter, partner = group.snapshot
         panels.setdefault((reporter, partner, group.group_id), []).append(group)
-    panel_series = [series for _, series in sorted(panels.items()) if len(series) > 1]
-    if not _sound(chain.from_iterable(g.members for g in groups)):
-        for series in panel_series:  # nature_transitions takes the periods in natural order
-            for group in sorted(series, key=lambda g: _period_order(g.snapshot[0])):
-                _check_group(group)
-
-    def transitions(series: list[IndustryGroup]) -> tuple[Iterable[tuple], int]:
-        """The panel's Transition.values() tuples, and its skipped count."""
-        lines, skipped = _transition_lines(series, args.alpha, args.family, type_method)
-        return starmap(_transition_values, lines), skipped
-
-    def record(series: list[IndustryGroup]) -> dict:  # nature_transitions(...).to_dict()
-        values, skipped = transitions(series)
-        _, reporter, partner = series[0].snapshot
-        return {
-            "reporter": reporter, "partner": partner, "group_id": series[0].group_id,
-            "family": args.family, "alpha": args.alpha, "skipped": skipped,
-            "transitions": Rows(Transition.FIELDS, values),
-        }
-
-    if args.format == "csv":
-        lines = (
-            (series[0].group_id, *values)
-            for series in panel_series for values in transitions(series)[0]
-        )
-    else:
-        lines = map(record, panel_series)
+    # Each panel's periods in natural order, the order nature_transitions takes them in.
+    panel_series = [
+        sorted(series, key=lambda g: _period_order(g.snapshot[0]))
+        for _, series in sorted(panels.items()) if len(series) > 1
+    ]
+    _check(chain.from_iterable(g.members for g in groups), chain.from_iterable(panel_series))
+    reports = (nature_transitions(s, args.alpha, args.family, type_method) for s in panel_series)
     return _write_report(
-        args, "panels", lines, lambda rows: (("group_id", *Transition.FIELDS), rows),
+        args, "panels", reports, _transitions_table,
         single_period_panels_skipped=len(panels) - len(panel_series),
     )
 

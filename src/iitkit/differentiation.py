@@ -21,7 +21,7 @@ from enum import Enum
 from typing import IO, Iterable, Iterator, NamedTuple, Sequence
 
 from iitkit.indices import TradeType, TradeTypeMethod, check_fraction, classify_trade_type
-from iitkit.trade_data import FlowKey, IndustryFlow, IndustryGroup
+from iitkit.trade_data import IndustryFlow, IndustryGroup
 
 FAMILIES = ("ghm", "ff")
 
@@ -151,32 +151,18 @@ def _plain(value):
     return value
 
 
-@dataclass(frozen=True)
-class IndustryDetail:
-    """Per-industry line of a SharesReport: the facts that do not depend on alpha."""
+class IndustryLine(NamedTuple):
+    """One industry of a SharesReport under its method; the fields are the JSON keys."""
 
-    key: FlowKey
-    trade_type: TradeType
+    period: str
+    reporter: str
+    partner: str
+    industry_code: str
+    trade_type: str  # a TradeType value
     ratio: float | None
-    unclassifiable: UnclassifiableReason | None
+    label: str | None  # a Differentiation value; None without IIT or ratio
+    unclassifiable: str | None  # an UnclassifiableReason value; None unless IIT lacks a ratio
     contribution: float  # this industry's IIT amount as a share of group trade
-
-    # Names of values(label), in order: the JSON keys of an industry line.
-    FIELDS = (
-        "period", "reporter", "partner", "industry_code",
-        "trade_type", "ratio", "label", "unclassifiable", "contribution",
-    )
-
-    def values(self, label: Differentiation | None) -> tuple:
-        """The industry line under `label`, the industry's label in its report."""
-        return (
-            *self.key,
-            self.trade_type.value,
-            self.ratio,
-            label.value if label else None,
-            self.unclassifiable.value if self.unclassifiable else None,
-            self.contribution,
-        )
 
 
 @dataclass(frozen=True)
@@ -199,8 +185,7 @@ class SharesReport:
     hqviit: float
     lqviit: float
     unclassified_share: float
-    details: tuple[IndustryDetail, ...]
-    labels: tuple[Differentiation | None, ...]  # aligned with details; None if not labelled
+    industries: tuple[IndustryLine, ...]
 
     # Names of values(), in order: the JSON keys before "industries" and the CSV header.
     FIELDS = (
@@ -218,11 +203,10 @@ class SharesReport:
         )
 
     def items(self) -> tuple[tuple[str, object], ...]:
-        """The members of the JSON form: FIELDS, then "industries", one line per detail."""
-        industries = map(IndustryDetail.values, self.details, self.labels)
+        """The members of the JSON form: FIELDS, then "industries", one object per line."""
         return (
             *zip(self.FIELDS, self.values()),
-            ("industries", Rows(IndustryDetail.FIELDS, industries)),
+            ("industries", Rows(IndustryLine._fields, self.industries)),
         )
 
     def to_dict(self) -> dict:
@@ -247,14 +231,9 @@ def _csv_text(header: Sequence[str], rows: Iterable[Sequence]) -> str:
     return buf.getvalue()
 
 
-def _shares_table(reports: Iterable[SharesReport]) -> _CsvTable:
-    """The header and rows of `reports_to_csv`."""
-    return SharesReport.FIELDS, (r.values() for r in reports)
-
-
 def reports_to_csv(reports: list[SharesReport]) -> str:
     """Flat CSV with one row per (group, method combination)."""
-    return _csv_text(*_shares_table(reports))
+    return _csv_text(SharesReport.FIELDS, (r.values() for r in reports))
 
 
 def decompose_shares(
@@ -271,48 +250,68 @@ def decompose_shares(
     cannot be formed move their IIT amount into unclassified_share. Raises
     OverflowError when the group's total trade exceeds the float range.
     """
-    (report,), _ = _decompose(group, [diff_method], type_method)
-    return report
+    members: list[tuple] = []
+    (values,) = _shares_values(group, (diff_method,), type_method, members)
+    return SharesReport(
+        group.group_id, group.snapshot, diff_method.family, diff_method.alpha, type_method,
+        *values[8:], _industry_lines(members, values[8], 0),
+    )
 
 
 def _shares_values(
     group: IndustryGroup,
-    method: DifferentiationMethod,
+    methods: Sequence[DifferentiationMethod],
     type_method: TradeTypeMethod,
-    industries: list[tuple] | None = None,
-) -> tuple:
-    """`decompose_shares(group, method, type_method).values()`, with no record built.
+    members: list[tuple] | None = None,
+) -> list[tuple]:
+    """`decompose_shares(group, method, type_method).values()` for each of `methods`.
 
-    One `_members` pass feeds every sum, each the left fold in member order
-    that `_decompose` makes, so the values are equal to the report's. Given
-    `industries`, appends to it each member's industry line, as the
-    report's `items()` gives it. Raises what `decompose_shares` raises.
+    `methods` are as `_members` takes them. One `_members` pass, listed, feeds
+    every sum, each a left fold in member order; at or past its first
+    horizontal index a member is horizontal, before it it keeps its label
+    under `methods[0]`. Given `members`, extends it with the pass's members.
+    Raises what `decompose_shares` raises: first on the group's total, then
+    on the first member whose ratio cannot be formed.
     """
     total = _group_total(group)
-    iit = unclassified = hiit = hq = lq = 0.0
-    vertical_high = Differentiation.VERTICAL_HIGH
-    for flow, trade_type, amount, ratio, reason, label, first in _members(
-        group, (method,), type_method
-    ):
+    if members is None:
+        members = []
+    members.extend(_members(group, methods, type_method))
+    iit = unclassified = 0.0
+    for _, _, amount, _, reason, _, _ in members:
         iit += amount
         if reason is not None:
             unclassified += amount
-        if first == 0:
-            hiit += amount
-        elif label is vertical_high:
-            hq += amount
-        elif label is not None:
-            lq += amount
-        if industries is not None:  # _value_ is .value, without the descriptor's Python call
-            industries.append((
-                *flow.key, trade_type._value_, ratio, label._value_ if label else None,
-                reason._value_ if reason else None, amount / total,
-            ))
-    return (
-        *group.snapshot, group.group_id, method.family, method.alpha,
-        type_method.kind, type_method.threshold, total, iit / total, hiit / total,
-        (hq + lq) / total, hq / total, lq / total, unclassified / total,
-    )
+    vertical_high, tables = Differentiation.VERTICAL_HIGH, []
+    for k, method in enumerate(methods):
+        hiit = hq = lq = 0.0
+        for _, _, amount, _, _, label, first in members:
+            if first <= k:
+                hiit += amount
+            elif label is vertical_high:
+                hq += amount
+            elif label is not None:
+                lq += amount
+        tables.append((
+            *group.snapshot, group.group_id, method.family, method.alpha,
+            type_method.kind, type_method.threshold, total, iit / total, hiit / total,
+            (hq + lq) / total, hq / total, lq / total, unclassified / total,
+        ))
+    return tables
+
+
+def _industry_lines(members: Iterable[tuple], total: float, k: int) -> tuple[IndustryLine, ...]:
+    """The industry lines of `_members` members under the k-th method, of group trade `total`."""
+    horizontal = Differentiation.HORIZONTAL
+    lines = []
+    for flow, trade_type, amount, ratio, reason, label, first in members:
+        if first <= k:
+            label = horizontal
+        lines.append(IndustryLine(  # _value_ is .value, without the descriptor's Python call
+            *flow.key, trade_type._value_, ratio, label._value_ if label else None,
+            reason._value_ if reason else None, amount / total,
+        ))
+    return tuple(lines)
 
 
 def _group_total(group: IndustryGroup) -> float:
@@ -326,11 +325,12 @@ def _group_total(group: IndustryGroup) -> float:
 
 
 def _check_group(group: IndustryGroup) -> None:
-    """Raise the error `_decompose` would raise on `group`, if any.
+    """Raise the error `_shares_values` would raise on `group`, if any.
 
-    `_decompose` checks the total first, then forms each member's ratio in
-    member order; nothing else it does can fail on a group `read_flows` and
-    `apply_grouping` built. The CLI calls it only where `cli._sound` fails.
+    `_shares_values` checks the total first, then forms each member's ratio
+    in member order; nothing else it does can fail on a group `read_flows`
+    and `apply_grouping` built. The CLI calls it only where `cli._check`
+    cannot prove a table sound.
     """
     _group_total(group)
     for member in group.members:
@@ -382,44 +382,3 @@ def _members(
                         else bisect_left(negated_lowers, -ratio)
                     )
         yield flow, trade_type, amount, ratio, reason, label, first
-
-
-def _decompose(
-    group: IndustryGroup, methods: Sequence[DifferentiationMethod], type_method: TradeTypeMethod
-) -> tuple[list[SharesReport], list[tuple]]:
-    """`decompose_shares` under each of `methods`, from one `_members` pass.
-
-    At or past its first horizontal index a member is horizontal; before it
-    it keeps its label under `methods[0]`. Only the sums repeat per method,
-    each in member order, as in a decomposition of its own; all the reports
-    share one details tuple. Returns the reports and the pass's members.
-    """
-    total = _group_total(group)
-    members = list(_members(group, methods, type_method))
-    iit = unclassified = 0.0
-    for _, _, amount, _, reason, _, _ in members:
-        iit += amount
-        if reason is not None:
-            unclassified += amount
-    shared = tuple([IndustryDetail(m[0].key, m[1], m[3], m[4], m[2] / total) for m in members])
-
-    reports = []
-    horizontal, vertical_high = Differentiation.HORIZONTAL, Differentiation.VERTICAL_HIGH
-    labels = tuple([m[5] for m in members])
-    for k, method in enumerate(methods):
-        hiit = hq = lq = 0.0
-        for _, _, amount, _, _, label, first in members:
-            if first <= k:
-                hiit += amount
-            elif label is vertical_high:
-                hq += amount
-            elif label is not None:
-                lq += amount
-        if k:  # at k = 0 the labels are those under methods[0]
-            labels = tuple([horizontal if m[6] <= k else m[5] for m in members])
-        reports.append(SharesReport(
-            group.group_id, group.snapshot, method.family, method.alpha, type_method, total,
-            iit / total, hiit / total, (hq + lq) / total, hq / total, lq / total,
-            unclassified / total, shared, labels,
-        ))
-    return reports, members

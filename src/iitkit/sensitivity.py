@@ -6,11 +6,11 @@ across the band edge flips its assigned nature. `alpha_sweep` decomposes a
 group once over an alpha grid: since the band only widens with alpha, each
 industry is horizontal from one grid point on, found by one band test and
 one bisection of the grid's band edges, and its labels and its one flip
-follow from that point; `sweep_flips` gives the flips alone.
+follow from that point; its reports share each industry line whose label
+holds from one alpha to the next, and `sweep_flips` gives the flips alone.
 `nature_transitions` records flips across consecutive periods of a panel
-at a fixed alpha, from each period's labels alone; `_transition_lines`
-gives the same transitions as plain tuples, which the CLI writes with no
-`Transition` built. Flips are detected on labels, not on ratio movements,
+at a fixed alpha, from each period's labels alone. The CLI writes these
+records as they are. Flips are detected on labels, not on ratio movements,
 so hairline crossings are reported rather than smoothed.
 """
 
@@ -18,9 +18,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from itertools import starmap
 from operator import itemgetter
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from iitkit.differentiation import (
     Differentiation,
@@ -29,10 +28,11 @@ from iitkit.differentiation import (
     SharesReport,
     _CsvTable,
     _csv_text,
-    _decompose,
     _group_total,
+    _industry_lines,
     _members,
     _plain,
+    _shares_values,
 )
 from iitkit.indices import TradeTypeMethod, check_fraction
 from iitkit.trade_data import FlowKey, IndustryGroup
@@ -86,16 +86,7 @@ class SweepResult:
         return _plain(self)
 
 
-@dataclass(frozen=True)
-class SweepFlips:
-    """The flip points of one industry group over an alpha grid, with no share tables."""
-
-    group_id: str
-    flip_points: tuple[FlipPoint, ...]
-
-
-@dataclass(frozen=True)
-class Transition:
+class Transition(NamedTuple):
     """One industry observed in two consecutive periods."""
 
     key_from: FlowKey
@@ -116,24 +107,14 @@ class Transition:
         return self.label_from is not self.label_to
 
     def values(self) -> tuple:
-        return _transition_values(
-            self.key_from, self.key_to, self.ratio_from, self.ratio_to,
-            self.label_from, self.label_to,
+        key_from, key_to, ratio_from, ratio_to, label_from, label_to = self
+        return (  # _value_ is what .value returns, without the descriptor's Python call
+            *key_from[1:], key_from[0], key_to[0], ratio_from, ratio_to,
+            label_from._value_, label_to._value_, label_from is not label_to,
         )
 
     def to_dict(self) -> dict:
         return dict(zip(self.FIELDS, self.values()))
-
-
-def _transition_values(
-    key_from: FlowKey, key_to: FlowKey, ratio_from: float, ratio_to: float,
-    label_from: Differentiation, label_to: Differentiation,
-) -> tuple:
-    """`Transition(...).values()` of these fields, with no Transition built."""
-    return (  # _value_ is what .value returns, without the descriptor's Python call
-        *key_from[1:], key_from[0], key_to[0], ratio_from, ratio_to,
-        label_from._value_, label_to._value_, label_from is not label_to,
-    )
 
 
 @dataclass(frozen=True)
@@ -190,11 +171,21 @@ def alpha_sweep(
 
     Along increasing alpha the horizontal band only widens, so a member
     flips at most once, at the first alpha that calls it horizontal, from
-    its label at the first alpha.
+    its label at the first alpha. A member's line is its line at the first
+    alpha until it flips and its line at the last alpha from then on, one
+    object each, shared by the reports.
     """
     alphas = _validate_alphas(alphas)
     methods = [DifferentiationMethod(family, a) for a in alphas]
-    reports, members = _decompose(group, methods, type_method)
+    members: list[tuple] = []
+    tables = _shares_values(group, methods, type_method, members)
+    before, after = (_industry_lines(members, tables[0][8], k) for k in (0, len(alphas) - 1))
+    reports = []
+    for k, (alpha, values) in enumerate(zip(alphas, tables)):
+        lines = tuple([a if 0 < m[6] <= k else b for m, b, a in zip(members, before, after)])
+        reports.append(SharesReport(
+            group.group_id, group.snapshot, family, alpha, type_method, *values[8:], lines
+        ))
     return SweepResult(
         group.group_id, group.snapshot, alphas, tuple(reports), _flips(alphas, members)
     )
@@ -202,12 +193,12 @@ def alpha_sweep(
 
 def sweep_flips(
     group: IndustryGroup, alphas: Sequence[float], family: str, type_method: TradeTypeMethod
-) -> SweepFlips:
+) -> tuple[FlipPoint, ...]:
     """The flip points of `alpha_sweep` alone, from the same pass; raises as it does."""
     alphas = _validate_alphas(alphas)
     methods = [DifferentiationMethod(family, a) for a in alphas]
     _group_total(group)
-    return SweepFlips(group.group_id, _flips(alphas, _members(group, methods, type_method)))
+    return _flips(alphas, _members(group, methods, type_method))
 
 
 def _period_order(period: str) -> tuple[list, str]:
@@ -236,8 +227,9 @@ def nature_transitions(
     period of a pair are skipped, and counted once per pair. Each period's
     keys, ratios and labels come from one member pass at `alpha`, with no
     share table built; raises what `decompose_shares` raises on a period.
-    The transitions are those of `_transition_lines`, each wrapped in a
-    `Transition`.
+    For each pair of consecutive periods, the industries of either are
+    taken in order of their code, which is their order by (reporter,
+    partner, industry_code) in one panel.
     """
     groups = list(panel)
     panels = {(*g.snapshot[1:], g.group_id) for g in groups}
@@ -252,35 +244,16 @@ def nature_transitions(
     if len(periods) < 2:
         raise ValueError(f"panel needs at least 2 periods, got {len(periods)}")
 
-    lines, skipped = _transition_lines(groups, alpha, family, type_method)
-    (reporter, partner, group_id), = panels
-    return TransitionReport(
-        reporter, partner, group_id, family, alpha, tuple(starmap(Transition, lines)), skipped
-    )
-
-
-def _transition_lines(
-    panel: Iterable[IndustryGroup], alpha: float, family: str, type_method: TradeTypeMethod
-) -> tuple[list[tuple], int]:
-    """The transitions of `nature_transitions` as plain tuples, and its skipped count.
-
-    `panel` is one that `nature_transitions` accepts. Each tuple holds the
-    fields of a `Transition`, in order: (key_from, key_to, ratio_from,
-    ratio_to, label_from, label_to). For each pair of consecutive periods,
-    the industries of either are taken in order of their code, which is
-    their order by (reporter, partner, industry_code) in one panel. Raises
-    what `nature_transitions` raises on a period.
-    """
     methods = [DifferentiationMethod(family, alpha)]
     by_code = []
-    for group in sorted(panel, key=lambda g: _period_order(g.snapshot[0])):
+    for group in sorted(groups, key=lambda g: _period_order(g.snapshot[0])):
         _group_total(group)
         by_code.append({
             flow.key[3]: (flow.key, ratio, label)
             for flow, _, _, ratio, _, label, _ in _members(group, methods, type_method)
         })
 
-    lines: list[tuple] = []
+    transitions = []
     skipped = 0
     absent = (None, None, None)
     for from_map, to_map in zip(by_code, by_code[1:]):
@@ -290,21 +263,26 @@ def _transition_lines(
             if label_from is None or label_to is None:
                 skipped += 1
             else:
-                lines.append((key_from, key_to, ratio_from, ratio_to, label_from, label_to))
-    return lines, skipped
+                transitions.append(
+                    Transition(key_from, key_to, ratio_from, ratio_to, label_from, label_to)
+                )
+    (reporter, partner, group_id), = panels
+    return TransitionReport(
+        reporter, partner, group_id, family, alpha, tuple(transitions), skipped
+    )
 
 
-def _flips_table(sweeps: Iterable[SweepResult]) -> _CsvTable:
-    """The header and rows of `sweep_flips_to_csv`."""
+def _flips_table(flips: Iterable[tuple[str, tuple[FlipPoint, ...]]]) -> _CsvTable:
+    """The header and rows of a flip table, from each group id with its flip points."""
     return (
         ("group_id", *FlipPoint.FIELDS),
-        ((s.group_id, *f.values()) for s in sweeps for f in s.flip_points),
+        ((group_id, *f.values()) for group_id, points in flips for f in points),
     )
 
 
 def sweep_flips_to_csv(sweeps: list[SweepResult]) -> str:
     """Flip table CSV: one row per (industry, alpha boundary)."""
-    return _csv_text(*_flips_table(sweeps))
+    return _csv_text(*_flips_table((s.group_id, s.flip_points) for s in sweeps))
 
 
 def _transitions_table(reports: Iterable[TransitionReport]) -> _CsvTable:

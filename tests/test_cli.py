@@ -19,12 +19,13 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import iitkit
 import iitkit.cli as cli
+from iitkit import differentiation
 from iitkit.cli import main
 from iitkit.datasets import example_flows_path, example_panel_path
 from iitkit.differentiation import (
     Differentiation,
     DifferentiationMethod,
-    IndustryDetail,
+    IndustryLine,
     Rows,
     SharesReport,
     UnclassifiableReason,
@@ -51,6 +52,8 @@ from iitkit.trade_data import (
     read_flows,
     read_grouping_map,
 )
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 HEADER = "period,reporter,partner,industry_code,export_value,import_value,export_qty,import_qty,qty_unit"
 
@@ -544,9 +547,10 @@ class TestReportFile:
         self, flows_csv, tmp_path, monkeypatch, capsys
     ):
         # A NaN share makes the JSON encoder fail after the config is written.
-        real, hiit = cli._shares_values, SharesReport.FIELDS.index("hiit")
+        real, hiit = differentiation._shares_values, SharesReport.FIELDS.index("hiit")
         monkeypatch.setattr(
-            cli, "_shares_values", lambda *a: _replaced(real(*a), hiit, math.nan)
+            differentiation, "_shares_values",
+            lambda *a: [_replaced(values, hiit, math.nan) for values in real(*a)],
         )
         out = tmp_path / "report.json"
         out.write_text("old report\n")
@@ -620,6 +624,25 @@ GOLDEN = {
     ("example_panel.csv", "transitions", "json", "ff", "vona"): (0, "6018d77e1102c3eb6d4d596ce2dc099e40e1a0547934ff7f59ab0d3c68a05318"),
     ("example_panel.csv", "transitions", "csv", "ff", "vona"): (0, "6c4b232bd12a78056f2c156f8bbfc6aeab2f60306908f249f425f9f315c9f494"),
 }
+# The same for tests/fixtures/grouped_panel.csv under its group map, recorded at
+# the commit before the one decomposition engine. Groups of several members,
+# sweep flips, unclassified and one-way members, a repeated key and ratios on
+# and one float either side of the 0.15 band edges, which the bundled datasets
+# (one member per group) never reach.
+GOLDEN_GROUPED = {
+    ("compute", "json", "ghm", "aer"): (0, "dd11391c220dc6cb28e4e9b5f01f3aae776297c2f92a61dfff0d9ed08ac87501"),
+    ("compute", "csv", "ghm", "aer"): (0, "7086e838d303cbac419ecdf010a7dea36fc0d85df897a71d6d6c60b370761f69"),
+    ("sweep", "json", "ghm", "aer"): (0, "df2b269c704b667cffc33ea898019073ee65ad2668da04d660d8c7dc12130556"),
+    ("sweep", "csv", "ghm", "aer"): (0, "f3721a0e3272eaa76707deb2ba9ec9ac66bd31736da7c2e49b90ca09c5c0ee23"),
+    ("transitions", "json", "ghm", "aer"): (0, "c6dafbbf6d4c50ac9c8405faa398bf2fcfbb6b96c1f107198369858f9e787c6d"),
+    ("transitions", "csv", "ghm", "aer"): (0, "804c786b5bfda23a2814ef66d6a3261ee6488df1601abd35938724dfd37516ec"),
+    ("compute", "json", "ff", "vona"): (0, "0c94d7ecec53eb1ebf09da4536125733b6c97a1a1ea2a8685448f6ac202e11cc"),
+    ("compute", "csv", "ff", "vona"): (0, "e256cb04682c981b4558db64e8a53112f81c09b726ed000acc89dbe1eeb6b93c"),
+    ("sweep", "json", "ff", "vona"): (0, "5ad7a2926033d181c2ac54a57141c686719e0e59fded06a562b8d5eda100061e"),
+    ("sweep", "csv", "ff", "vona"): (0, "bc9a17fd91cef8a7215e37270856b06fcfc3f3c4c32aebc36cc39fb92fd07b8c"),
+    ("transitions", "json", "ff", "vona"): (0, "cee0c3f4bfc11abdfdc95f31468a0d6564cbb8f41c5c8aa67a719fe9cc1807d3"),
+    ("transitions", "csv", "ff", "vona"): (0, "200d03bcf711c0af03db949b0ebc87adb25df0ab02f4303dcfaabf777461ccc2"),
+}
 GOLDEN_VALIDATE = {
     "example_flows.csv": "766dc3ca1a9ebe7ce8cd3aae3710ba993ae2b9b76f0f1657b0773e5c8c0c586d",
     "example_panel.csv": "7eb2bd5686c2082f9037f4b2a4a5f591f2d2fb4231c22841d7158ebcb4d0a83e",
@@ -682,6 +705,16 @@ class TestGoldenOutput:
             "--family", family, "--type-method", type_method,
         ])
         assert (code, self.digest(capsys)) == GOLDEN[case]
+
+    @pytest.mark.parametrize("case", sorted(GOLDEN_GROUPED), ids="-".join)
+    def test_grouped_report(self, case, capsys, monkeypatch):
+        monkeypatch.chdir(FIXTURES)
+        command, fmt, family, type_method = case
+        code = main([
+            command, "--input", "grouped_panel.csv", "--group-map", "grouped_panel_groups.csv",
+            "--format", fmt, "--family", family, "--type-method", type_method,
+        ])
+        assert (code, self.digest(capsys)) == GOLDEN_GROUPED[case]
 
     @pytest.mark.parametrize("dataset", sorted(GOLDEN_VALIDATE))
     def test_validate(self, dataset, capsys):
@@ -753,20 +786,19 @@ _FLOAT = st.one_of(
 _SCALAR = st.one_of(_TEXT, _FLOAT, st.integers(), st.booleans(), st.none())
 _KEY = st.builds(FlowKey, _TEXT, _TEXT, _TEXT, _TEXT)
 _LABEL = st.sampled_from(Differentiation)
-_DETAIL = st.builds(
-    IndustryDetail, _KEY, st.sampled_from(TradeType), _SCALAR,
-    st.one_of(st.none(), st.sampled_from(UnclassifiableReason)), _SCALAR,
+_LINE = st.builds(
+    IndustryLine, _TEXT, _TEXT, _TEXT, _TEXT, st.sampled_from([t.value for t in TradeType]),
+    _SCALAR, st.one_of(st.none(), st.sampled_from([d.value for d in Differentiation])),
+    st.one_of(st.none(), st.sampled_from([u.value for u in UnclassifiableReason])), _SCALAR,
 )
 
 
 @st.composite
 def _shares_reports(draw):
-    details = draw(st.lists(_DETAIL, max_size=3))
     return SharesReport(
         draw(_SCALAR), (draw(_TEXT), draw(_TEXT), draw(_TEXT)), draw(_SCALAR), draw(_SCALAR),
         SimpleNamespace(kind=draw(_SCALAR), threshold=draw(_SCALAR)),
-        *draw(st.tuples(*[_SCALAR] * 7)), tuple(details),
-        tuple(draw(st.lists(st.one_of(st.none(), _LABEL), min_size=len(details), max_size=len(details)))),
+        *draw(st.tuples(*[_SCALAR] * 7)), tuple(draw(st.lists(_LINE, max_size=3))),
     )
 
 
@@ -806,22 +838,23 @@ class TestJsonReport:
         assert capsys.readouterr().out == json.dumps(expected, indent=2, allow_nan=False) + "\n"
 
     @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
-    @pytest.mark.parametrize("command, name, plant", [
+    @pytest.mark.parametrize("command, module, name, plant", [
         # A group-level share, an industry line, and a transition line: each
-        # planted in what the runner draws its report lines from.
-        ("compute", "_shares_values",
-         lambda r, v: _replaced(r, SharesReport.FIELDS.index("total_trade"), v)),
-        ("sweep", "alpha_sweep", lambda s, v: dataclasses.replace(s, reports=(dataclasses.replace(
-            s.reports[0], details=(dataclasses.replace(s.reports[0].details[0], contribution=v),
-                                   *s.reports[0].details[1:])), *s.reports[1:]))),
-        ("transitions", "_transition_lines",
-         lambda r, v: ([_replaced(r[0][0], 3, v), *r[0][1:]], r[1])),  # ratio_to
+        # planted in what the runner draws its report records from.
+        ("compute", differentiation, "_shares_values", lambda tables, v: [
+            _replaced(values, SharesReport.FIELDS.index("total_trade"), v) for values in tables
+        ]),
+        ("sweep", cli, "alpha_sweep", lambda s, v: dataclasses.replace(s, reports=(dataclasses.replace(
+            s.reports[0], industries=(s.reports[0].industries[0]._replace(contribution=v),
+                                      *s.reports[0].industries[1:])), *s.reports[1:]))),
+        ("transitions", cli, "nature_transitions", lambda r, v: dataclasses.replace(
+            r, transitions=(r.transitions[0]._replace(ratio_to=v), *r.transitions[1:]))),
     ])
     def test_non_finite_number_exits_2_and_writes_nothing(
-        self, tmp_path, monkeypatch, capsys, command, name, plant, value
+        self, tmp_path, monkeypatch, capsys, command, module, name, plant, value
     ):
-        real = getattr(cli, name)
-        monkeypatch.setattr(cli, name, lambda *a: plant(real(*a), value))
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *a: plant(real(*a), value))
         out = tmp_path / "report.json"
         assert run(command, "--input", example_panel_path(), "--output", out) == 2
         assert capsys.readouterr() == ("", (
@@ -1072,21 +1105,17 @@ class _Tracked(list):
     """A list that a weakref can follow, unlike a plain list or a tuple."""
 
 
-class _TrackedDict(dict):
-    """A dict that a weakref can follow."""
-
-
 # What each runner builds one of per group or panel, and how to make it
-# followable. A CSV sweep builds its records with sweep_flips, a JSON one with
-# alpha_sweep. compute builds a CSV line with _shares_values and a JSON record
-# with _shares_record; transitions draws each panel's lines, written as CSV
-# rows or as a JSON record, from _transition_lines.
+# followable. compute builds a CSV row with _shares_values, followed as the
+# row the runner takes from it, and a JSON record with decompose_shares. A
+# CSV sweep builds its flips with sweep_flips, a JSON one its records with
+# alpha_sweep. transitions writes nature_transitions records in both formats.
 _RECORD_MAKERS = {
+    "decompose_shares": None,
+    "_shares_values": lambda tables: [_Tracked(values) for values in tables],
     "alpha_sweep": None,
-    "sweep_flips": None,
-    "_shares_values": _Tracked,
-    "_shares_record": _TrackedDict,
-    "_transition_lines": lambda result: (_Tracked(result[0]), result[1]),
+    "sweep_flips": _Tracked,
+    "nature_transitions": None,
 }
 
 
@@ -1097,12 +1126,12 @@ def _replaced(values: tuple, index: int, value) -> tuple:
 
 class TestOneRecordAtATime:
     @pytest.mark.parametrize("fmt, command, name", [
-        ("json", "compute", "_shares_record"),
+        ("json", "compute", "decompose_shares"),
         ("csv", "compute", "_shares_values"),
         ("json", "sweep", "alpha_sweep"),
         ("csv", "sweep", "sweep_flips"),
-        ("json", "transitions", "_transition_lines"),
-        ("csv", "transitions", "_transition_lines"),
+        ("json", "transitions", "nature_transitions"),
+        ("csv", "transitions", "nature_transitions"),
     ])
     def test_at_most_two_records_alive(self, tmp_path, monkeypatch, capsys, command, name, fmt):
         """The record being built and the one last written; 120 groups, 60 panels.
@@ -1133,7 +1162,7 @@ class TestOneRecordAtATime:
             record = real(*args)
             if make is not None:
                 record = make(record)
-            weakref.finalize(record[0] if name == "_transition_lines" else record, dead)
+            weakref.finalize(record[0] if name == "_shares_values" else record, dead)
             alive += 1
             peak = max(peak, alive)
             return record
@@ -1242,13 +1271,15 @@ _HUGE_ROWS = st.dictionaries(
     mapping={"1": "G"},
 )
 def test_sound_table_fails_no_group_check(body, mapping):
-    """Whenever the flat pass finds no fault, no group fails `_check_group`,
-    under every grouping policy."""
+    """Whenever `_check` proves the table without a walk, no group fails
+    `_check_group`, under every grouping policy."""
     try:
         flows = read_flows(io.StringIO(f"{HEADER}\n{body}")).flows
     except OverflowError:  # a row's export and import sum past the float range
         return
-    if not cli._sound(flows):
+    walked = []  # drawing from the groups below records that the proof failed
+    cli._check(flows, iter(lambda: walked.append(True), None))
+    if walked:
         return
     for policy in GROUP_POLICIES:
         try:

@@ -183,9 +183,9 @@ class TestDecomposeShares:
         assert report.hiit + report.viit == pytest.approx(
             report.iit - report.unclassified_share, abs=1e-12
         )
-        (d1, d2) = report.details
-        assert d1.unclassifiable is UnclassifiableReason.MISSING_VOLUME
-        assert report.labels[1] is H
+        (line1, line2) = report.industries
+        assert (line1.unclassifiable, line1.label) == (UnclassifiableReason.MISSING_VOLUME.value, None)
+        assert line2.label == H.value
 
     def test_cross_module_agreement(self, worked_example_group):
         group = worked_example_group

@@ -7,7 +7,7 @@ from iitkit import differentiation
 from iitkit.differentiation import (
     Differentiation,
     DifferentiationMethod,
-    IndustryDetail,
+    IndustryLine,
     SharesReport,
     UnitValueRatio,
     classify_ff,
@@ -16,6 +16,7 @@ from iitkit.differentiation import (
     unit_value_ratio,
 )
 from iitkit.indices import TradeType, TradeTypeMethod, classify_trade_type
+from iitkit.trade_data import FlowKey
 from iitkit.sensitivity import (
     DEFAULT_ALPHA_GRID,
     Transition,
@@ -47,7 +48,7 @@ def reference_report(group, family, alpha, type_method):
     classify = classify_ghm if family == "ghm" else classify_ff
     total = group.total_trade
     iit = hiit = hq = lq = unclassified = 0.0
-    details, labels = [], []
+    lines = []
     for flow in group.members:
         trade_type = classify_trade_type(flow, type_method)
         if family == "ghm":
@@ -69,12 +70,14 @@ def reference_report(group, family, alpha, type_method):
         elif amount > 0:
             reason = uvr
             unclassified += amount
-        details.append(IndustryDetail(flow.key, trade_type, ratio, reason, amount / total))
-        labels.append(label)
+        lines.append(IndustryLine(
+            *flow.key, trade_type.value, ratio, label.value if label else None,
+            reason.value if reason else None, amount / total,
+        ))
     return SharesReport(
         group.group_id, group.snapshot, family, alpha, type_method, total,
         iit / total, hiit / total, (hq + lq) / total, hq / total, lq / total,
-        unclassified / total, tuple(details), tuple(labels),
+        unclassified / total, tuple(lines),
     )
 
 
@@ -149,17 +152,19 @@ def reference_transitions(periods, family, alpha, type_method):
     """Transitions between consecutive groups of `periods`, which are in period order,
     matched on (reporter, partner, industry_code) from one full report per period."""
     reports = [reference_report(group, family, alpha, type_method) for group in periods]
-    lines = [{d.key[1:]: (d, label) for d, label in zip(r.details, r.labels)} for r in reports]
+    lines = [{line[1:4]: line for line in r.industries} for r in reports]
     transitions, skipped = [], 0
     for from_map, to_map in zip(lines, lines[1:]):
         for ident in sorted(from_map.keys() | to_map.keys()):
-            d_from, label_from = from_map.get(ident, (None, None))
-            d_to, label_to = to_map.get(ident, (None, None))
+            line_from, line_to = from_map.get(ident), to_map.get(ident)
+            label_from = line_from.label if line_from else None
+            label_to = line_to.label if line_to else None
             if label_from is None or label_to is None:
                 skipped += 1
             else:
                 transitions.append(Transition(
-                    d_from.key, d_to.key, d_from.ratio, d_to.ratio, label_from, label_to
+                    FlowKey(*line_from[:4]), FlowKey(*line_to[:4]), line_from.ratio,
+                    line_to.ratio, Differentiation(label_from), Differentiation(label_to),
                 ))
     return TransitionReport("FRA", "DEU", "G", family, alpha, tuple(transitions), skipped)
 
@@ -221,12 +226,13 @@ class TestAlphaSweep:
         assert list(result.reports) == expected
         flips = []
         for a_hi, lo, hi in zip(alphas[1:], expected, expected[1:]):
-            after = {d.key: label for d, label in zip(hi.details, hi.labels)}
-            for d, before in zip(lo.details, lo.labels):
-                if before is not None and after[d.key] is not before:
-                    flips.append((d.key, a_hi, before, after[d.key]))
+            after = {line[:4]: line.label for line in hi.industries}
+            for line in lo.industries:
+                if line.label is not None and after[line[:4]] != line.label:
+                    flips.append((line[:4], a_hi, line.label, after[line[:4]]))
         assert [
-            (f.key, f.alpha, f.label_before, f.label_after) for f in result.flip_points
+            (tuple(f.key), f.alpha, f.label_before.value, f.label_after.value)
+            for f in result.flip_points
         ] == flips
         for flip in result.flip_points:
             assert flip.label_before in (VH, VL) and flip.label_after is H
@@ -238,8 +244,8 @@ class TestAlphaSweep:
     def test_sweep_flips_are_the_alpha_sweep_flips(self, case):
         family, type_method, alphas, group = case
         flips = sweep_flips(group, alphas, family, type_method)
-        assert flips.group_id == group.group_id
-        assert flips.flip_points == alpha_sweep(group, alphas, family, type_method).flip_points
+        assert type(flips) is tuple
+        assert flips == alpha_sweep(group, alphas, family, type_method).flip_points
 
     @pytest.mark.parametrize("family", ["ghm", "ff"])
     @given(case=st.one_of(sweep_cases(), sweep_cases(COLLIDING_GRIDS)))
@@ -278,10 +284,17 @@ class TestAlphaSweep:
         decompose_shares(group, DifferentiationMethod("ghm", 0.15), AER)
         assert calls == len(ratios)
 
-    def test_reports_share_one_details_tuple(self):
-        group = make_group([ratio_flow(1.16), make_flow(100, 100, code="000002")])
-        result = alpha_sweep(group, list(DEFAULT_ALPHA_GRID), "ghm", AER)
-        assert all(r.details is result.reports[0].details for r in result.reports)
+    @given(sweep_cases())
+    @example(_hand_picked("ghm"))
+    @example(_hand_picked("ff"))
+    def test_reports_share_each_line_whose_label_holds(self, case):
+        """Adjacent reports hold one line object for an industry exactly when
+        its label is the same at both alphas."""
+        family, type_method, alphas, group = case
+        reports = alpha_sweep(group, alphas, family, type_method).reports
+        for lo, hi in zip(reports, reports[1:]):
+            for before, after in zip(lo.industries, hi.industries):
+                assert (after is before) == (after.label == before.label)
 
     def test_result_carries_its_group(self):
         group = make_group([ratio_flow(1.16)], group_id="G7")
