@@ -62,7 +62,7 @@ from iitkit.trade_data import (
 
 # The CSV reports as one str each. The CLI writes its reports a row at a time
 # and does not call these, but perfbench/tracer.py wraps them by their names
-# on this module, as it wraps the record builders above.
+# on this module, as it wraps decompose_shares and nature_transitions above.
 from iitkit.differentiation import reports_to_csv  # noqa: F401
 from iitkit.sensitivity import sweep_flips_to_csv, transitions_to_csv  # noqa: F401
 
