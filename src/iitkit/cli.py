@@ -3,8 +3,11 @@
 Subcommands mirror the library: `compute` writes the share decomposition per
 (period, reporter, partner, group), `sweep` re-runs it over an alpha grid and
 tabulates label flips, `transitions` tracks period-over-period label changes,
-and `validate` is a dry run for data onboarding: it exits 0 only on a table
-every report command accepts.
+and `validate` is a dry run for data onboarding. Every command decides
+whether the table's numbers can be reported with one check, `_check`, so
+`validate` exits 0 exactly when each report command accepts the table, apart
+from what only a report reads: its group map, and for `transitions` the
+number of periods.
 
 Exit codes: 0 success, 1 configuration error, 2 data error.
 """
@@ -18,10 +21,9 @@ import math
 import os
 import shutil
 import sys
-from itertools import chain
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import BinaryIO, Callable, Iterable, Iterator, TypeVar
+from typing import BinaryIO, Callable, Iterable, TypeVar
 
 from iitkit.differentiation import (
     FAMILIES,
@@ -29,7 +31,6 @@ from iitkit.differentiation import (
     Rows,
     SharesReport,
     _CsvTable,
-    _check_group,
     _shares_values,
     _unit_values,
     _write_csv,
@@ -39,7 +40,6 @@ from iitkit.indices import TradeTypeMethod, check_fraction
 from iitkit.sensitivity import (
     DEFAULT_ALPHA_GRID,
     _flips_table,
-    _period_order,
     _transitions_table,
     _validate_alphas,
     alpha_sweep,
@@ -179,54 +179,46 @@ def _read(name: str, what: str, parse: Callable[[BinaryIO], _T]) -> _T:
         raise DataError(f"{path}: {exc}") from exc
 
 
-def _load_groups(args: argparse.Namespace, group: Callable[..., _T]) -> _T:
-    """`group(flows, mapping, policy)` on the run's tables; an unmapped code is a DataError."""
-    cleaned = _read(args.input, "input file", read_flows)
+def _load_groups(
+    args: argparse.Namespace, group: Callable[..., _T]
+) -> tuple[tuple[IndustryFlow, ...], dict[str, str] | None, _T]:
+    """The run's flows and group map, and `group(flows, mapping, policy)` on them.
+
+    An unreadable table or map, or an unmapped code, is a DataError.
+    """
+    flows = _read(args.input, "input file", read_flows).flows
     mapping = None
     if args.group_map is not None:
         mapping = _read(args.group_map, "grouping file", read_grouping_map)
     try:
-        return group(cleaned.flows, mapping, args.group_policy)
+        return flows, mapping, group(flows, mapping, args.group_policy)
     except UnmappedCodeError as exc:
         raise DataError(str(exc)) from exc
 
 
-def _table_total(flows: Iterable[IndustryFlow]) -> float:
-    """The flows' trade as a left fold; raises OverflowError on a unit-value ratio out of range.
+def _check(flows: tuple[IndustryFlow, ...]) -> None:
+    """Raise OverflowError unless every report can form its numbers from `flows`.
 
-    Float sums of nonnegative values only grow along a sequence, so a finite
-    fold bounds the fold of any subsequence, such as a group's members, as
-    IndustryGroup.total_trade folds them; not so the compensated sum() of 3.12.
+    In flow order, raises on the first unit-value ratio out of range; then,
+    only when the table's total trade overflows, on the first (period,
+    reporter, partner) snapshot whose total does. Float sums of nonnegative
+    values only grow along a sequence, so a finite fold bounds the fold of
+    any subsequence: under any group map and policy, a group's members are
+    a subsequence of its snapshot's flows, folded in that order by
+    IndustryGroup.total_trade. Not so the compensated sum() of 3.12.
     """
     total = 0.0
     for flow in flows:
         _unit_values(flow)
         total += flow.total_trade
-    return total
-
-
-def _check(flows: Iterable[IndustryFlow], groups: Iterable[IndustryGroup]) -> None:
-    """Raise the first error `_check_group` raises on `groups`, in their order, if any.
-
-    `groups` are built from `flows`. A finite `_table_total(flows)` proves
-    that none fails, and then `groups` is not drawn from.
-    """
-    try:
-        if _table_total(flows) < math.inf:
-            return
-    except OverflowError:
-        pass
-    for group in groups:
-        _check_group(group)
-
-
-def _checked_stream(
-    flows: tuple[IndustryFlow, ...], mapping: dict[str, str] | None, policy: str
-) -> Iterator[IndustryGroup]:
-    """The groups in order, each built when asked for, after `_check` on them all."""
-    ordered = _group_order(flows, mapping, policy)
-    _check(flows, _groups(ordered, mapping))
-    return _groups(ordered, mapping)
+    if total < math.inf:
+        return
+    totals: dict[tuple[str, ...], float] = {}
+    for flow in flows:
+        snapshot = flow.key[:3]
+        totals[snapshot] = totals.get(snapshot, 0.0) + flow.total_trade
+        if totals[snapshot] == math.inf:
+            raise OverflowError(f"total trade of {snapshot} exceeds the float range")
 
 
 def _type_method(args: argparse.Namespace) -> TradeTypeMethod:
@@ -344,7 +336,7 @@ def _write_report(
     `records` is any iterable, iterated once; each record is written before
     the next is drawn, so a generator of records has one alive at a time.
     An error while writing leaves part of a report on stdout, which is why
-    the runners check their groups first. Either format is written a piece
+    the runners check their table first. Either format is written a piece
     at a time: CSV a row at a time, with the bytes the library's `*_to_csv`
     gives; JSON starting with the run's config, extended by `extra`, with
     the bytes json.dump(indent=2) gives. With --output naming a file, the
@@ -390,16 +382,19 @@ def _write_report(
     return EXIT_OK
 
 
-# Each runner first checks, with `_check`, every group it will decompose, in
-# the order it decomposes them, so the first data error is raised, with its
-# message, before the report's first byte. The records are then built one at
-# a time as the report is written: the library's own, except in the CSV
-# reports of compute, whose rows are `_shares_values` tuples, and of sweep,
-# whose rows come from `sweep_flips`; neither builds an industry line.
+# Each runner first checks the table with `_check`, after any error of its
+# group map or, for transitions, its periods, so a data error is raised, with
+# the message validate gives, before the report's first byte; a table that
+# passes fails no group. The records are then built one at a time as the
+# report is written: the library's own, except in the CSV reports of compute,
+# whose rows are `_shares_values` tuples, and of sweep, whose rows come from
+# `sweep_flips`; neither builds an industry line.
 
 
 def _run_compute(args: argparse.Namespace) -> int:
-    groups = _load_groups(args, _checked_stream)
+    flows, mapping, ordered = _load_groups(args, _group_order)
+    _check(flows)
+    groups = _groups(ordered, mapping)
     method = DifferentiationMethod(args.family, args.alpha)
     type_method = _type_method(args)
     if args.format == "csv":
@@ -410,7 +405,9 @@ def _run_compute(args: argparse.Namespace) -> int:
 
 
 def _run_sweep(args: argparse.Namespace) -> int:
-    groups = _load_groups(args, _checked_stream)
+    flows, mapping, ordered = _load_groups(args, _group_order)
+    _check(flows)
+    groups = _groups(ordered, mapping)
     type_method = _type_method(args)
     if args.format == "csv":  # a CSV report holds only the flips
         sweeps = (
@@ -422,44 +419,32 @@ def _run_sweep(args: argparse.Namespace) -> int:
 
 
 def _run_transitions(args: argparse.Namespace) -> int:
-    groups = _load_groups(args, apply_grouping)
+    flows, _, groups = _load_groups(args, apply_grouping)
     periods = {g.snapshot[0] for g in groups}
     if len(periods) < 2:
         raise ConfigError(
             f"transitions needs at least 2 periods in the input, found {len(periods)}"
         )
+    _check(flows)
     type_method = _type_method(args)
 
-    # One panel per (reporter, partner, group), one group per period in each.
+    # One panel per (reporter, partner, group), one group per period in each;
+    # nature_transitions puts each panel's periods in order.
     panels: dict[tuple[str, str, str], list[IndustryGroup]] = {}
     for group in groups:
         _, reporter, partner = group.snapshot
         panels.setdefault((reporter, partner, group.group_id), []).append(group)
-    # Each panel's periods in natural order, the order nature_transitions takes them in.
-    panel_series = [
-        sorted(series, key=lambda g: _period_order(g.snapshot[0]))
-        for _, series in sorted(panels.items()) if len(series) > 1
-    ]
-    _check(chain.from_iterable(g.members for g in groups), chain.from_iterable(panel_series))
-    reports = (nature_transitions(s, args.alpha, args.family, type_method) for s in panel_series)
+    series = [s for _, s in sorted(panels.items()) if len(s) > 1]
+    reports = (nature_transitions(s, args.alpha, args.family, type_method) for s in series)
     return _write_report(
         args, "panels", reports, _transitions_table,
-        single_period_panels_skipped=len(panels) - len(panel_series),
+        single_period_panels_skipped=len(panels) - len(series),
     )
 
 
 def _run_validate(args: argparse.Namespace) -> int:
     cleaned = _read(args.input, "input file", read_flows)
-    # The reports also form each ratio and fold each group's trade, which a finite
-    # snapshot total bounds, as a finite table total bounds every snapshot's.
-    table_total = _table_total(cleaned.flows)
-    if table_total == math.inf:
-        totals: dict[tuple[str, str, str], float] = {}
-        for flow in cleaned.flows:
-            snapshot = flow.key[:3]
-            totals[snapshot] = totals.get(snapshot, 0.0) + flow.total_trade
-            if totals[snapshot] == math.inf:
-                raise OverflowError(f"total trade of {snapshot} exceeds the float range")
+    _check(cleaned.flows)
     print(
         f"ok: {cleaned.rows_read} rows, {len(cleaned.flows)} industry flows, "
         f"{cleaned.dropped_zero_trade} zero-trade industries dropped"

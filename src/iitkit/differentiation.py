@@ -254,7 +254,7 @@ def decompose_shares(
     (values,) = _shares_values(group, (diff_method,), type_method, members)
     return SharesReport(
         group.group_id, group.snapshot, diff_method.family, diff_method.alpha, type_method,
-        *values[8:], _industry_lines(members, values[8], 0),
+        *values[8:], _industry_lines(members, values[8]),
     )
 
 
@@ -300,13 +300,10 @@ def _shares_values(
     return tables
 
 
-def _industry_lines(members: Iterable[tuple], total: float, k: int) -> tuple[IndustryLine, ...]:
-    """The industry lines of `_members` members under the k-th method, of group trade `total`."""
-    horizontal = Differentiation.HORIZONTAL
+def _industry_lines(members: Iterable[tuple], total: float) -> tuple[IndustryLine, ...]:
+    """The industry lines of `_members` members under its first method, of group trade `total`."""
     lines = []
-    for flow, trade_type, amount, ratio, reason, label, first in members:
-        if first <= k:
-            label = horizontal
+    for flow, trade_type, amount, ratio, reason, label, _ in members:
         lines.append(IndustryLine(  # _value_ is .value, without the descriptor's Python call
             *flow.key, trade_type._value_, ratio, label._value_ if label else None,
             reason._value_ if reason else None, amount / total,
@@ -322,19 +319,6 @@ def _group_total(group: IndustryGroup) -> float:
             f"total trade of group {group.group_id!r} in {group.snapshot} exceeds the float range"
         )
     return total
-
-
-def _check_group(group: IndustryGroup) -> None:
-    """Raise the error `_shares_values` would raise on `group`, if any.
-
-    `_shares_values` checks the total first, then forms each member's ratio
-    in member order; nothing else it does can fail on a group `read_flows`
-    and `apply_grouping` built. The CLI calls it only where `cli._check`
-    cannot prove a table sound.
-    """
-    _group_total(group)
-    for member in group.members:
-        _unit_values(member)
 
 
 def _members(

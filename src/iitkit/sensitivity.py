@@ -172,17 +172,22 @@ def alpha_sweep(
     Along increasing alpha the horizontal band only widens, so a member
     flips at most once, at the first alpha that calls it horizontal, from
     its label at the first alpha. A member's line is its line at the first
-    alpha until it flips and its line at the last alpha from then on, one
-    object each, shared by the reports.
+    alpha until it flips and, from then on, that line labelled horizontal,
+    one object each, shared by the reports.
     """
     alphas = _validate_alphas(alphas)
     methods = [DifferentiationMethod(family, a) for a in alphas]
     members: list[tuple] = []
     tables = _shares_values(group, methods, type_method, members)
-    before, after = (_industry_lines(members, tables[0][8], k) for k in (0, len(alphas) - 1))
+    before = _industry_lines(members, tables[0][8])
+    horizontal, count = Differentiation.HORIZONTAL.value, len(alphas)
+    after = [
+        line._replace(label=horizontal) if 0 < m[6] < count else line
+        for m, line in zip(members, before)
+    ]
     reports = []
     for k, (alpha, values) in enumerate(zip(alphas, tables)):
-        lines = tuple([a if 0 < m[6] <= k else b for m, b, a in zip(members, before, after)])
+        lines = tuple([a if m[6] <= k else b for m, b, a in zip(members, before, after)])
         reports.append(SharesReport(
             group.group_id, group.snapshot, family, alpha, type_method, *values[8:], lines
         ))

@@ -29,13 +29,11 @@ from iitkit.differentiation import (
     Rows,
     SharesReport,
     UnclassifiableReason,
-    _check_group,
     _plain,
     decompose_shares,
 )
 from iitkit.indices import TradeType, TradeTypeMethod
 from iitkit.sensitivity import (
-    DEFAULT_ALPHA_GRID,
     FlipPoint,
     SweepResult,
     Transition,
@@ -50,7 +48,6 @@ from iitkit.trade_data import (
     UnmappedCodeError,
     apply_grouping,
     read_flows,
-    read_grouping_map,
 )
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -238,7 +235,9 @@ class TestCompute:
         gmap = tmp_path / "map.csv"
         gmap.write_text("industry_code,group_id\n1,G\n2,G\n")
         assert run("compute", "--input", path, "--group-map", gmap) == 2
-        assert "total trade of group 'G'" in capsys.readouterr().err
+        assert capsys.readouterr() == ("", (
+            "error: total trade of ('2020', 'FRA', 'DEU') exceeds the float range\n"
+        ))
 
     def test_non_finite_value_exits_2_naming_row_and_column(self, tmp_path, capsys):
         path = tmp_path / "inf.csv"
@@ -437,11 +436,52 @@ class TestValidate:
             "error: total trade of ('2020', 'FRA', 'DEU') exceeds the float range\n"
         )
 
-    def test_overflowing_table_total_with_finite_snapshots_passes(self, tmp_path, capsys):
+    @pytest.mark.parametrize("command", ["validate", "compute", "sweep", "transitions"])
+    def test_overflowing_table_total_with_finite_snapshots_passes(self, tmp_path, capsys, command):
         path = tmp_path / "big.csv"
         path.write_text(f"{HEADER}\n2020,FRA,DEU,1,1e308,0,,,\n2021,FRA,DEU,1,1e308,0,,,\n")
-        assert run("validate", "--input", path) == 0
-        assert run("transitions", "--input", path) == 0
+        assert run(command, "--input", path) == 0
+        assert capsys.readouterr().err == ""
+
+    # Tables whose fault lies in no group a report decomposes, under the
+    # options given with each; each has 2 periods.
+    _UNCHECKED_BY_GROUPS = {
+        # Each key is its own group, and each group's total is finite.
+        "snapshot-overflow": (
+            "2020,FRA,DEU,1,1e308,0,,,\n2020,FRA,DEU,2,1e308,0,,,\n"
+            "2021,FRA,DEU,1,116,100,100,100,kg\n", (),
+        ),
+        # Code 2's ratio is NaN, and --group-policy drop drops it.
+        "dropped-row": (
+            "2020,FRA,DEU,1,116,100,100,100,kg\n2020,FRA,DEU,2,1e300,1e300,1e-10,1e-10,kg\n"
+            "2021,FRA,DEU,1,116,100,100,100,kg\n", ("--group-policy", "drop"),
+        ),
+        # Code 2's ratio is NaN, in its one period: no transitions panel holds it.
+        "single-period-panel": (
+            "2020,FRA,DEU,1,116,100,100,100,kg\n2020,FRA,DEU,2,1e300,1e300,1e-10,1e-10,kg\n"
+            "2021,FRA,DEU,1,116,100,100,100,kg\n", (),
+        ),
+    }
+
+    @pytest.mark.parametrize("table", sorted(_UNCHECKED_BY_GROUPS))
+    @pytest.mark.parametrize("command, fmt", [
+        ("validate", None),
+        *[(c, f) for c in ("compute", "sweep", "transitions") for f in ("json", "csv")],
+    ])
+    def test_every_command_refuses_what_validate_refuses(
+        self, tmp_path, capsys, command, fmt, table
+    ):
+        body, options = self._UNCHECKED_BY_GROUPS[table]
+        path, gmap = tmp_path / "t.csv", tmp_path / "map.csv"
+        path.write_text(f"{HEADER}\n{body}")
+        gmap.write_text("industry_code,group_id\n1,G\n")
+        assert run("validate", "--input", path) == 2
+        out, expected = capsys.readouterr()
+        assert (out, expected[:7]) == ("", "error: ")
+        if command != "validate":
+            options = ("--group-map", gmap, "--format", fmt, *options)
+            assert run(command, "--input", path, *options) == 2
+            assert capsys.readouterr() == ("", expected)
 
 
 class TestBundledData:
@@ -1038,50 +1078,22 @@ _FAULTY_ROWS = st.dictionaries(
 ))
 
 
-def _first_error(command: str, table: Path, group_map: Path, family: str) -> str | None:
-    """The message of the first error that building every record of the report
-    up front, in report order, raises; None when there is none."""
-    with open(table, "rb") as fh:
-        flows = read_flows(fh).flows
-    with open(group_map, "rb") as fh:
-        groups = apply_grouping(flows, read_grouping_map(fh))
-    type_method = TradeTypeMethod.abd_el_rahman(0.10)  # the CLI's default
-    panels: dict = {}
-    for group in groups:
-        panels.setdefault((*group.snapshot[1:], group.group_id), []).append(group)
-    try:
-        if command == "compute":
-            [decompose_shares(g, DifferentiationMethod(family, 0.15), type_method) for g in groups]
-        elif command == "sweep":
-            [alpha_sweep(g, DEFAULT_ALPHA_GRID, family, type_method) for g in groups]
-        else:
-            [
-                nature_transitions(series, 0.15, family, type_method)
-                for _, series in sorted(panels.items())
-                if len(series) > 1
-            ]
-    except OverflowError as exc:
-        return str(exc)
-    return None
-
-
 class TestFirstError:
     @pytest.mark.parametrize("command", ["compute", "sweep", "transitions"])
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(body=_FAULTY_ROWS, family=st.sampled_from(["ghm", "ff"]))
     # In both periods group G's total overflows and one member's ratio is
-    # NaN, so the total is the error. 2020M10 sorts before 2020M9 as text,
-    # which compute and sweep follow, and after it in natural order, which
-    # transitions follows.
+    # NaN. The error is the NaN of 2020M9, the first fault in flow order,
+    # though in report order a total overflows first.
     @example(body="".join(
         f"{period},FRA,DEU,{code},{_KINDS[kind]}\n"
         for period, kinds in [("2020M9", "big big nan"), ("2020M10", "nan big big")]
         for code, kind in zip("123", kinds.split())
     ), family="ghm")
-    def test_same_first_error_as_building_every_record_first(
-        self, tmp_path, capsys, command, fmt, body, family
-    ):
+    def test_same_error_as_validate(self, tmp_path, capsys, command, fmt, body, family):
+        """A report refuses with validate's message whatever its group map,
+        once the map is read and the periods counted, and runs otherwise."""
         table, group_map = tmp_path / "faulty.csv", tmp_path / "map.csv"
         table.write_text(f"{HEADER}\n{body}")
         group_map.write_text(_GROUP_MAP)
@@ -1094,11 +1106,12 @@ class TestFirstError:
         if command == "transitions" and len(periods) < 2:
             assert (code, out) == (1, "")
             return
-        message = _first_error(command, table, group_map, family)
-        if message is None:
-            assert (code, err) == (0, "")
+        refused = run("validate", "--input", table) != 0
+        expected = capsys.readouterr().err
+        if refused:
+            assert (code, out, err) == (2, "", expected)
         else:
-            assert (code, out, err) == (2, "", f"error: {message}\n")
+            assert (code, err) == (0, "")
 
 
 class _Tracked(list):
@@ -1191,13 +1204,13 @@ class TestOneRecordAtATime:
 
     @pytest.mark.parametrize("command", ["compute", "sweep"])
     @pytest.mark.parametrize("fmt", ["json", "csv"])
-    # Code 0 trades 1e308 in both snapshots: the table's total overflows, no group's does.
-    @pytest.mark.parametrize("value, walks", [("116", 1), ("1e308", 2)])
+    # Code 0 trades 1e308 in both snapshots: the table's total overflows, no snapshot's does.
+    @pytest.mark.parametrize("value", ["116", "1e308"])
     def test_each_group_built_once_on_a_sound_table(
-        self, tmp_path, monkeypatch, capsys, command, fmt, value, walks
+        self, tmp_path, monkeypatch, capsys, command, fmt, value
     ):
-        """40 groups of 3 over 2 snapshots, checked in a walk of their own
-        only when the flat pass cannot prove the table."""
+        """40 groups of 3 over 2 snapshots, built only as the report is written:
+        the check reads the flows, not the groups."""
         table, group_map = tmp_path / "flows.csv", tmp_path / "map.csv"
         table.write_text(HEADER + "\n" + "".join(
             f"2020,FRA,{partner},{code},{value if code == 0 else 116},100,100,100,kg\n"
@@ -1209,7 +1222,7 @@ class TestOneRecordAtATime:
         counts = _count_groups(monkeypatch)
         assert run(command, "--input", table, "--group-map", group_map, "--format", fmt) == 0
         capsys.readouterr()
-        assert counts["built"] == 40 * walks
+        assert counts["built"] == 40
         assert 1 <= counts["peak"] <= 2
 
 
@@ -1270,16 +1283,22 @@ _HUGE_ROWS = st.dictionaries(
     body="2020,FRA,DEU,1,8e307,0,100,100,kg\n2020,FRA,USA,1,0,8e307,100,100,kg\n",
     mapping={"1": "G"},
 )
-def test_sound_table_fails_no_group_check(body, mapping):
-    """Whenever `_check` proves the table without a walk, no group fails
-    `_check_group`, under every grouping policy."""
+# The table's total overflows, each snapshot's is 1e308.
+@example(
+    body="2020,FRA,DEU,1,1e308,0,100,100,kg\n2020,FRA,USA,1,0,1e308,100,100,kg\n",
+    mapping={"1": "G"},
+)
+def test_checked_table_fails_no_decomposition(body, mapping):
+    """Whenever `_check` passes the flows, `decompose_shares` raises on no
+    group, under every grouping policy: a report refuses no table that
+    validate accepts."""
     try:
         flows = read_flows(io.StringIO(f"{HEADER}\n{body}")).flows
     except OverflowError:  # a row's export and import sum past the float range
         return
-    walked = []  # drawing from the groups below records that the proof failed
-    cli._check(flows, iter(lambda: walked.append(True), None))
-    if walked:
+    try:
+        cli._check(flows)
+    except OverflowError:
         return
     for policy in GROUP_POLICIES:
         try:
@@ -1287,4 +1306,4 @@ def test_sound_table_fails_no_group_check(body, mapping):
         except UnmappedCodeError:
             continue
         for group in groups:
-            _check_group(group)
+            decompose_shares(group, DifferentiationMethod("ghm"), TradeTypeMethod.vona())
