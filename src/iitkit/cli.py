@@ -22,6 +22,7 @@ import os
 import shutil
 import sys
 from json.encoder import encode_basestring_ascii
+from operator import attrgetter
 from pathlib import Path
 from typing import BinaryIO, Callable, Iterable, TypeVar
 
@@ -50,20 +51,22 @@ from iitkit.trade_data import (
     GROUP_POLICIES,
     FlowParseError,
     IndustryFlow,
-    IndustryGroup,
     UnitConflictError,
     UnmappedCodeError,
     _group_order,
     _groups,
-    apply_grouping,
+    _panel_order,
+    _panels,
     read_flows,
     read_grouping_map,
 )
 
-# The CSV reports as one str each. The CLI writes its reports a row at a time
-# and does not call these, but perfbench/tracer.py wraps them by their names
-# on this module, as it wraps decompose_shares and nature_transitions above.
+# The CSV reports as one str each, and the groups as one list. The CLI writes
+# its reports a row at a time and streams its groups, so it calls none of
+# these, but perfbench/tracer.py wraps them by their names on this module, as
+# it wraps decompose_shares and nature_transitions above.
 from iitkit.differentiation import reports_to_csv  # noqa: F401
+from iitkit.trade_data import apply_grouping  # noqa: F401
 from iitkit.sensitivity import sweep_flips_to_csv, transitions_to_csv  # noqa: F401
 
 EXIT_OK = 0
@@ -385,7 +388,9 @@ def _write_report(
 # Each runner first checks the table with `_check`, after any error of its
 # group map or, for transitions, its periods, so a data error is raised, with
 # the message validate gives, before the report's first byte; a table that
-# passes fails no group. The records are then built one at a time as the
+# passes fails no group. No runner lists its groups: compute and sweep build
+# one group at a time from `_group_order`, transitions one panel's groups at
+# a time from `_panel_order`. The records are then built one at a time as the
 # report is written: the library's own, except in the CSV reports of compute,
 # whose rows are `_shares_values` tuples, and of sweep, whose rows come from
 # `sweep_flips`; neither builds an industry line.
@@ -419,26 +424,38 @@ def _run_sweep(args: argparse.Namespace) -> int:
 
 
 def _run_transitions(args: argparse.Namespace) -> int:
-    flows, _, groups = _load_groups(args, apply_grouping)
-    periods = {g.snapshot[0] for g in groups}
+    flows, mapping, ordered = _load_groups(args, _panel_order)
+    period = attrgetter("key.period")
+    # A first pass over the panels counts what is written before the first
+    # one: the periods, and the panels of one period, which are skipped.
+    periods: set[str] = set()
+    panels = series = 0
+    for run in _panels(ordered, mapping):
+        kept = set(map(period, run))
+        periods |= kept
+        panels += 1
+        series += len(kept) > 1
     if len(periods) < 2:
         raise ConfigError(
             f"transitions needs at least 2 periods in the input, found {len(periods)}"
         )
     _check(flows)
-    type_method = _type_method(args)
 
-    # One panel per (reporter, partner, group), one group per period in each;
-    # nature_transitions puts each panel's periods in order.
-    panels: dict[tuple[str, str, str], list[IndustryGroup]] = {}
-    for group in groups:
-        _, reporter, partner = group.snapshot
-        panels.setdefault((reporter, partner, group.group_id), []).append(group)
-    series = [s for _, s in sorted(panels.items()) if len(s) > 1]
-    reports = (nature_transitions(s, args.alpha, args.family, type_method) for s in series)
+    # One group per period in each panel, cut from its flows sorted on period;
+    # nature_transitions puts the periods in their natural order. map and
+    # filter hold no panel once they pass it on, so a run holds the groups of
+    # one panel at a time.
+    type_method = _type_method(args)
+    groups = (
+        list(_groups(sorted(run, key=period), mapping)) for run in _panels(ordered, mapping)
+    )
+    reports = map(
+        lambda panel: nature_transitions(panel, args.alpha, args.family, type_method),
+        filter(lambda panel: len(panel) > 1, groups),
+    )
     return _write_report(
         args, "panels", reports, _transitions_table,
-        single_period_panels_skipped=len(panels) - len(series),
+        single_period_panels_skipped=panels - series,
     )
 
 
@@ -464,20 +481,32 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return _RUNNERS[args.command](args)
+        code = _RUNNERS[args.command](args)
+        sys.stdout.flush()
+        return code
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (DataError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
+    except BrokenPipeError as exc:  # the reader of stdout closed it, as `| head` does
+        print(f"error: cannot write stdout: {exc.strerror or exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 def entry_point() -> None:
     # One run builds millions of objects that form no reference cycles, so the
     # cyclic collector would only cost time. Library callers keep theirs.
     gc.disable()
-    raise SystemExit(main())
+    code = main()
+    try:
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # main said so already. The bytes left in the buffer go to the null
+        # device, so the interpreter's last flush raises nothing more.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    raise SystemExit(code)
 
 
 if __name__ == "__main__":

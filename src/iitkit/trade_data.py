@@ -577,11 +577,24 @@ def _group_order(
 ) -> list[IndustryFlow]:
     """The flows `apply_grouping` keeps, in its order; raises what it raises.
 
-    Stable sorts on group_id, then partner, reporter and period leave the
-    flows ordered by (period, reporter, partner, group_id), ties in their
-    order in `flows`. Each sort is keyed on a string the flow or the map
-    already holds: one sort on a tuple key would build a tuple per flow,
-    all alive at once.
+    A stable sort of `_panel_order` on period leaves the flows ordered by
+    (period, reporter, partner, group_id), ties in their order in `flows`.
+    """
+    ordered = _panel_order(flows, mapping, policy)
+    ordered.sort(key=attrgetter("key.period"))
+    return ordered
+
+
+def _panel_order(
+    flows: Iterable[IndustryFlow], mapping: dict[str, str] | None, policy: str
+) -> list[IndustryFlow]:
+    """The flows `apply_grouping` keeps, in panels; raises what it raises.
+
+    Stable sorts on group_id, then partner and reporter leave the flows
+    ordered by (reporter, partner, group_id), ties in their order in
+    `flows`, so each panel is one run. Each sort is keyed on a string the
+    flow or the map already holds: one sort on a tuple key would build a
+    tuple per flow, all alive at once.
     """
     if policy not in GROUP_POLICIES:
         raise ValueError(f"unknown grouping policy {policy!r}, expected one of {GROUP_POLICIES}")
@@ -594,17 +607,31 @@ def _group_order(
         missing = sorted({flow.key.industry_code for flow in ordered} - mapping.keys())
         if missing:
             raise UnmappedCodeError(missing)
-    for field in ("partner", "reporter", "period"):
+    for field in ("partner", "reporter"):
         ordered.sort(key=attrgetter(f"key.{field}"))
     return ordered
+
+
+def _panels(
+    ordered: Iterable[IndustryFlow], mapping: dict[str, str] | None
+) -> Iterator[Iterator[IndustryFlow]]:
+    """The flows of each panel of `_panel_order`, one run each."""
+    get = (mapping or {}).get
+
+    def panel_key(flow: IndustryFlow) -> tuple[str, str, str]:
+        _, reporter, partner, code = flow.key
+        return reporter, partner, get(code, code)
+
+    return (run for _, run in groupby(ordered, panel_key))
 
 
 def _groups(ordered: Iterable[IndustryFlow], mapping: dict[str, str] | None) -> Iterator[IndustryGroup]:
     """The groups of flows in `_group_order`, each built only when it is asked for.
 
-    Each is built through its slots: a run of `_group_order` under one group
-    key is nonempty and of one snapshot, so the constructor's check could not
-    fail.
+    So are the groups of one panel of `_panel_order` once its flows are
+    stably sorted on period. Each is built through its slots: a run of
+    either order under one group key is nonempty and of one snapshot, so
+    the constructor's check could not fail.
     """
     get = (mapping or {}).get
 
@@ -626,14 +653,16 @@ def read_grouping_map(source: IO[bytes] | IO[str] | Iterable[str]) -> dict[str, 
     `source` is read as read_flows reads it. Raises FlowParseError on a
     malformed row, bytes that are not UTF-8 included, and on a row that puts
     an industry code in another group than an earlier row did; a repeat of
-    the same pair is accepted.
+    the same pair is accepted. Equal group ids are one string, shared
+    through a table private to the call, as `_merge` shares key fields.
     """
     mapping: dict[str, str] = {}
+    share = {}.setdefault
     for row_number, row in _table(source, ("industry_code", "group_id")):
         code, group_id = row
         if not (code and group_id):
             raise FlowParseError(row_number, f"bad grouping row {row!r}")
-        earlier = mapping.setdefault(code, group_id)
+        earlier = mapping.setdefault(code, share(group_id, group_id))
         if earlier != group_id:
             raise FlowParseError(
                 row_number,

@@ -38,6 +38,7 @@ from iitkit.sensitivity import (
     SweepResult,
     Transition,
     TransitionReport,
+    _transitions_table,
     alpha_sweep,
     nature_transitions,
 )
@@ -391,6 +392,25 @@ class TestTransitions:
     def test_single_period_exits_1(self, flows_csv, capsys):
         assert run("transitions", "--input", flows_csv) == 1
         assert "2 periods" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("policy, code", [("drop", 1), ("own-code", 2)])
+    def test_periods_counted_after_drop_before_the_check(self, tmp_path, capsys, policy, code):
+        """Snapshot 2020M9 overflows; 2020M10 holds only an unmapped code.
+        Under drop one period is left, a configuration error found first."""
+        table, group_map = tmp_path / "flows.csv", tmp_path / "map.csv"
+        table.write_text(
+            f"{HEADER}\n"
+            "2020M9,FRA,DEU,1,1e308,0,,,\n"
+            "2020M9,FRA,DEU,2,1e308,0,,,\n"
+            "2020M10,FRA,DEU,5,116,100,100,100,kg\n"
+        )
+        group_map.write_text("industry_code,group_id\n1,G\n2,G\n")
+        assert run(
+            "transitions", "--input", table, "--group-map", group_map, "--group-policy", policy
+        ) == code
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert ("2 periods" in err) is (code == 1)
 
 
 class TestValidate:
@@ -797,6 +817,36 @@ class TestEntryPoint:
         from_file = self.run_module("-m", "iitkit.cli", "validate", "--input", flows_csv)
         assert (proc.returncode, proc.stdout, proc.stderr) == (0, from_file.stdout, b"")
 
+    @pytest.mark.parametrize("argv, size", [
+        (["compute", "--format", "csv"], 10),
+        (["transitions", "--format", "json"], 10),
+        (["validate"], 0),
+    ], ids=["compute-csv", "transitions-json", "validate"])
+    def test_stdout_closed_early_exits_1_without_traceback(self, tmp_path, argv, size):
+        """`iitkit ... | head -c 10`: the reader closes the pipe after 10 bytes
+        of a report of about 1 MB, far more than the pipe holds. validate's
+        one line is still in the buffer when its reader has gone."""
+        table = tmp_path / "flows.csv"
+        table.write_text(HEADER + "\n" + "".join(
+            f"{period},FRA,DEU,{code},116,100,100,100,kg\n"
+            for period in ("2020", "2021") for code in range(3000)
+        ))
+        src = str(Path(iitkit.__file__).parent.parent)
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        # Buffered, as stdout is by default: the bytes left in the buffer
+        # are flushed again as the interpreter exits.
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "iitkit.cli", *argv, "--input", table],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env={**env, "PYTHONPATH": path},
+        )
+        assert len(proc.stdout.read(size)) == size
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait() == 1
+        assert err.startswith(b"error: ") and err.count(b"\n") == 1 and err.endswith(b"\n")
+
     def test_entry_point_disables_the_cyclic_collector(self):
         proc = self.run_module("-c", (
             "import gc, iitkit.cli as cli\n"
@@ -1114,6 +1164,87 @@ class TestFirstError:
             assert (code, err) == (0, "")
 
 
+def _listed_transitions(args: argparse.Namespace) -> int:
+    """The transitions runner as it was before it streamed its panels: every
+    group listed by apply_grouping, then a dict of panels. The streamed
+    runner must write what it wrote."""
+    flows, _, groups = cli._load_groups(args, apply_grouping)
+    periods = {g.snapshot[0] for g in groups}
+    if len(periods) < 2:
+        raise cli.ConfigError(
+            f"transitions needs at least 2 periods in the input, found {len(periods)}"
+        )
+    cli._check(flows)
+    type_method = cli._type_method(args)
+    panels: dict[tuple[str, str, str], list[IndustryGroup]] = {}
+    for group in groups:
+        _, reporter, partner = group.snapshot
+        panels.setdefault((reporter, partner, group.group_id), []).append(group)
+    series = [s for _, s in sorted(panels.items()) if len(s) > 1]
+    reports = (nature_transitions(s, args.alpha, args.family, type_method) for s in series)
+    return cli._write_report(
+        args, "panels", reports, _transitions_table,
+        single_period_panels_skipped=len(panels) - len(series),
+    )
+
+
+# One row per key, of the kinds of _KINDS or of ratio 1, which flips from
+# "ok" (ratio 1.16) at alpha 0.15. A snapshot with two "big" rows overflows,
+# a "nan" row's ratio cannot be formed, a "one-way" row has none.
+_PANEL_KINDS = {**_KINDS, "level": "100,100,100,100,kg"}
+_PANEL_ROWS = st.dictionaries(
+    st.tuples(
+        st.sampled_from(["2020M9", "2020M10", "2021"]),
+        st.sampled_from(["FRA", "ITA"]),
+        st.sampled_from(["DEU", "USA"]),
+        st.sampled_from(["1", "2", "3", "4", "5"]),
+    ),
+    st.sampled_from(["ok"] * 6 + ["level"] * 6 + ["one-way", "one-way", "big", "nan"]),
+    min_size=1, max_size=24,
+).map(lambda rows: "".join(
+    f"{period},{reporter},{partner},{code},{_PANEL_KINDS[kind]}\n"
+    for (period, reporter, partner, code), kind in rows.items()
+))
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    body=_PANEL_ROWS,
+    # Group ids that are codes too mix mapped groups with own-code ones.
+    mapping=st.one_of(st.none(), st.dictionaries(
+        st.sampled_from("12345"), st.sampled_from(["G", "H", "1", "5"])
+    )),
+    policy=st.sampled_from(GROUP_POLICIES),
+    fmt=st.sampled_from(["json", "csv"]),
+    family=st.sampled_from(["ghm", "ff"]),
+)
+# Under drop one period is left, and a snapshot of it overflows: exit 1.
+@example(
+    body="2020M9,FRA,DEU,1,1e308,0,,,\n2020M9,FRA,DEU,2,1e308,0,,,\n"
+         "2020M10,FRA,DEU,5,116,100,100,100,kg\n",
+    mapping={"1": "G", "2": "G"}, policy="drop", fmt="json", family="ghm",
+)
+def test_streamed_panels_write_what_listed_panels_wrote(
+    tmp_path, monkeypatch, capsys, body, mapping, policy, fmt, family
+):
+    """Exit code, stdout and stderr of the transitions runner equal those of
+    the one that listed its groups, on any table, map and policy."""
+    table, group_map = tmp_path / "flows.csv", tmp_path / "map.csv"
+    table.write_text(f"{HEADER}\n{body}")
+    argv = ["transitions", "--input", str(table), "--group-policy", policy, "--format", fmt,
+            "--family", family]
+    if mapping is not None:
+        group_map.write_text("industry_code,group_id\n" + "".join(
+            f"{code},{group_id}\n" for code, group_id in mapping.items()
+        ))
+        argv += ["--group-map", str(group_map)]
+    streamed = main(argv), capsys.readouterr()
+    with monkeypatch.context() as patch:
+        patch.setitem(cli._RUNNERS, "transitions", _listed_transitions)
+        listed = main(argv), capsys.readouterr()
+    assert streamed == listed
+
+
 class _Tracked(list):
     """A list that a weakref can follow, unlike a plain list or a tuple."""
 
@@ -1189,18 +1320,26 @@ class TestOneRecordAtATime:
         assert 1 <= peak <= 2
         assert early == 0
 
-    @pytest.mark.parametrize("command", ["compute", "sweep"])
+    @pytest.mark.parametrize("command", ["compute", "sweep", "transitions"])
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_groups_streamed_not_listed(self, tmp_path, monkeypatch, capsys, command, fmt):
-        """The group being built and the one last checked or written; 120 one-member groups."""
+        """The group being built and the one last checked or written; 120
+        one-member groups, each built once. transitions builds a panel's
+        groups together: of its 60 panels of 2 periods, at most one panel's
+        groups and one more are alive."""
         table = tmp_path / "flows.csv"
         table.write_text(HEADER + "\n" + "".join(
-            f"2020,FRA,DEU,{code},116,100,100,100,kg\n" for code in range(120)
+            f"{period},FRA,DEU,{code},116,100,100,100,kg\n"
+            for period in ("2020", "2021") for code in range(60)
         ))
         counts = _count_groups(monkeypatch)
         assert run(command, "--input", table, "--format", fmt) == 0
         capsys.readouterr()
-        assert 1 <= counts["peak"] <= 2
+        assert counts["built"] == 120
+        if command == "transitions":
+            assert 2 <= counts["peak"] <= 3
+        else:
+            assert 1 <= counts["peak"] <= 2
 
     @pytest.mark.parametrize("command", ["compute", "sweep"])
     @pytest.mark.parametrize("fmt", ["json", "csv"])

@@ -944,6 +944,16 @@ def test_grouping_map_repeated_pair_accepted():
     assert mapping == {"1": "A", "2": "B"}
 
 
+@pytest.mark.parametrize("binary", [False, True], ids=["text", "bytes"])
+def test_grouping_map_holds_one_string_per_group_id(binary):
+    text = "industry_code,group_id\n" + "".join(
+        f"{code},group{code % 7}\n" for code in [*range(2000), 3, 5]  # two repeated pairs
+    )
+    mapping = read_grouping_map(io.BytesIO(text.encode()) if binary else io.StringIO(text))
+    assert len(mapping) == 2000
+    assert len({id(g) for g in mapping.values()}) == len(set(mapping.values())) == 7
+
+
 @pytest.mark.parametrize("head, row_number", [("", 1), ("industry_code,group_id\n1,G1\n", 3)])
 def test_grouping_map_oversized_field_rejected_with_row_number(head, row_number):
     with pytest.raises(FlowParseError) as exc:
