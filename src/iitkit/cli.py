@@ -4,10 +4,11 @@ Subcommands mirror the library: `compute` writes the share decomposition per
 (period, reporter, partner, group), `sweep` re-runs it over an alpha grid and
 tabulates label flips, `transitions` tracks period-over-period label changes,
 and `validate` is a dry run for data onboarding. Every command decides
-whether the table's numbers can be reported with one check, `_check`, so
-`validate` exits 0 exactly when each report command accepts the table, apart
-from what only a report reads: its group map, and for `transitions` the
-number of periods.
+whether the table's numbers can be reported with one check, `_check`:
+`validate` on the merged sums, building no flow, and the reports on their
+flows. So `validate` exits 0 exactly when each report command accepts the
+table, apart from what only a report reads: its group map, and for
+`transitions` the number of periods.
 
 Exit codes: 0 success, 1 configuration error, 2 data error.
 """
@@ -57,6 +58,9 @@ from iitkit.trade_data import (
     _groups,
     _panel_order,
     _panels,
+    _sum_records,
+    _sums,
+    _zero_trade,
     read_flows,
     read_grouping_map,
 )
@@ -199,29 +203,39 @@ def _load_groups(
         raise DataError(str(exc)) from exc
 
 
-def _check(flows: tuple[IndustryFlow, ...]) -> None:
-    """Raise OverflowError unless every report can form its numbers from `flows`.
+def _check(table: _T, records: Callable[[_T], Iterable[tuple]]) -> None:
+    """Raise OverflowError unless every report can form its numbers from `table`.
 
-    In flow order, raises on the first unit-value ratio out of range; then,
-    only when the table's total trade overflows, on the first (period,
-    reporter, partner) snapshot whose total does. Float sums of nonnegative
-    values only grow along a sequence, so a finite fold bounds the fold of
-    any subsequence: under any group map and policy, a group's members are
-    a subsequence of its snapshot's flows, folded in that order by
-    IndustryGroup.total_trade. Not so the compensated sum() of 3.12.
+    `records(table)` gives the (key fields, X, M, x, m) of each flow in flow
+    order: `_sum_records` of the merged sums, for validate, or `_flow_records`
+    of the flows, for the reports, so both decide by this one rule. In that
+    order, raises on the first unit-value ratio out of range; then, only
+    when the table's total trade overflows, takes the records again and
+    raises on the first (period, reporter, partner) snapshot whose total
+    does. Float sums of nonnegative values only grow along a sequence, so a
+    finite fold bounds the fold of any subsequence: under any group map and
+    policy, a group's members are a subsequence of its snapshot's flows,
+    folded in that order by IndustryGroup.total_trade. Not so the
+    compensated sum() of 3.12.
     """
     total = 0.0
-    for flow in flows:
-        _unit_values(flow)
-        total += flow.total_trade
+    for key, xv, mv, xq, mq in records(table):
+        _unit_values(key, xv, mv, xq, mq)
+        total += xv + mv
     if total < math.inf:
         return
     totals: dict[tuple[str, ...], float] = {}
-    for flow in flows:
-        snapshot = flow.key[:3]
-        totals[snapshot] = totals.get(snapshot, 0.0) + flow.total_trade
+    for key, xv, mv, _, _ in records(table):
+        snapshot = tuple(key[:3])
+        totals[snapshot] = totals.get(snapshot, 0.0) + (xv + mv)
         if totals[snapshot] == math.inf:
             raise OverflowError(f"total trade of {snapshot} exceeds the float range")
+
+
+# The records `_check` reads from flows: one (key, X, M, x, m) tuple each, made in C.
+_flow_records = functools.partial(map, attrgetter(
+    "key", "export_value", "import_value", "export_volume", "import_volume"
+))
 
 
 def _type_method(args: argparse.Namespace) -> TradeTypeMethod:
@@ -388,17 +402,19 @@ def _write_report(
 # Each runner first checks the table with `_check`, after any error of its
 # group map or, for transitions, its periods, so a data error is raised, with
 # the message validate gives, before the report's first byte; a table that
-# passes fails no group. No runner lists its groups: compute and sweep build
-# one group at a time from `_group_order`, transitions one panel's groups at
-# a time from `_panel_order`. The records are then built one at a time as the
-# report is written: the library's own, except in the CSV reports of compute,
-# whose rows are `_shares_values` tuples, and of sweep, whose rows come from
+# passes fails no group. Validate checks the merged sums and builds no flow;
+# each report reads the flows with `read_flows` and checks those. No runner
+# lists its groups: compute and sweep build one group at a time from
+# `_group_order`, transitions one panel's groups at a time from
+# `_panel_order`. The records are then built one at a time as the report is
+# written: the library's own, except in the CSV reports of compute, whose
+# rows are `_shares_values` tuples, and of sweep, whose rows come from
 # `sweep_flips`; neither builds an industry line.
 
 
 def _run_compute(args: argparse.Namespace) -> int:
     flows, mapping, ordered = _load_groups(args, _group_order)
-    _check(flows)
+    _check(flows, _flow_records)
     groups = _groups(ordered, mapping)
     method = DifferentiationMethod(args.family, args.alpha)
     type_method = _type_method(args)
@@ -411,7 +427,7 @@ def _run_compute(args: argparse.Namespace) -> int:
 
 def _run_sweep(args: argparse.Namespace) -> int:
     flows, mapping, ordered = _load_groups(args, _group_order)
-    _check(flows)
+    _check(flows, _flow_records)
     groups = _groups(ordered, mapping)
     type_method = _type_method(args)
     if args.format == "csv":  # a CSV report holds only the flips
@@ -439,7 +455,7 @@ def _run_transitions(args: argparse.Namespace) -> int:
         raise ConfigError(
             f"transitions needs at least 2 periods in the input, found {len(periods)}"
         )
-    _check(flows)
+    _check(flows, _flow_records)
 
     # One group per period in each panel, cut from its flows sorted on period;
     # nature_transitions puts the periods in their natural order. map and
@@ -460,11 +476,12 @@ def _run_transitions(args: argparse.Namespace) -> int:
 
 
 def _run_validate(args: argparse.Namespace) -> int:
-    cleaned = _read(args.input, "input file", read_flows)
-    _check(cleaned.flows)
+    sums, rows_read = _read(args.input, "input file", _sums)
+    _check(sums, _sum_records)
+    dropped = _zero_trade(sums)
     print(
-        f"ok: {cleaned.rows_read} rows, {len(cleaned.flows)} industry flows, "
-        f"{cleaned.dropped_zero_trade} zero-trade industries dropped"
+        f"ok: {rows_read} rows, {len(sums) - dropped} industry flows, "
+        f"{dropped} zero-trade industries dropped"
     )
     return EXIT_OK
 

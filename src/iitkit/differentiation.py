@@ -106,24 +106,32 @@ def unit_value_ratio(flow: IndustryFlow) -> UnitValueRatio | UnclassifiableReaso
     Raises OverflowError when the ratio of finite positive inputs is not a
     positive finite float, because a unit value over- or underflowed.
     """
-    values = _unit_values(flow)
+    values = _unit_values(
+        flow.key, flow.export_value, flow.import_value, flow.export_volume, flow.import_volume
+    )
     return values if isinstance(values, UnclassifiableReason) else UnitValueRatio(*values)
 
 
-def _unit_values(flow: IndustryFlow) -> tuple[float, float, float] | UnclassifiableReason:
-    """`unit_value_ratio` as a plain (X/x, M/m, ratio) tuple, for the per-flow loops."""
-    if flow.export_volume is None or flow.import_volume is None:
+def _unit_values(
+    key: Sequence[str], xv: float, mv: float, xq: float | None, mq: float | None
+) -> tuple[float, float, float] | UnclassifiableReason:
+    """`unit_value_ratio` of a flow given as its key fields and sums X, M, x and m.
+
+    Gives a plain (X/x, M/m, ratio) tuple. This is the one ratio rule: the
+    per-flow loops, `cli._check` and `_members`, call it on the numbers.
+    """
+    if xq is None or mq is None:
         return UnclassifiableReason.MISSING_VOLUME
-    if flow.export_volume == 0 or flow.import_volume == 0:
+    if xq == 0 or mq == 0:
         return UnclassifiableReason.ZERO_VOLUME
-    if flow.export_value == 0 or flow.import_value == 0:
+    if xv == 0 or mv == 0:
         return UnclassifiableReason.ZERO_VALUE
-    vux = flow.export_value / flow.export_volume
-    vum = flow.import_value / flow.import_volume
+    vux = xv / xq
+    vum = mv / mq
     ratio = vux / vum if vum > 0 else math.inf  # M/m can underflow to 0
     if not 0 < ratio < math.inf:  # also false for NaN
         raise OverflowError(
-            f"unit-value ratio of key {tuple(flow.key)} is {ratio}: "
+            f"unit-value ratio of key {tuple(key)} is {ratio}: "
             "a unit value over- or underflows the float range"
         )
     return vux, vum, ratio
@@ -345,11 +353,12 @@ def _members(
     horizontal, vertical_high = Differentiation.HORIZONTAL, Differentiation.VERTICAL_HIGH
     for flow in group.members:
         trade_type = classify_trade_type(flow, type_method)
+        xv, mv = flow.export_value, flow.import_value
         if ghm:
-            amount = 2.0 * min(flow.export_value, flow.import_value)
+            amount = 2.0 * min(xv, mv)
         else:
-            amount = flow.total_trade if trade_type is two_way else 0.0
-        uvr = _unit_values(flow)
+            amount = xv + mv if trade_type is two_way else 0.0
+        uvr = _unit_values(flow.key, xv, mv, flow.export_volume, flow.import_volume)
         ratio = reason = label = None
         first = count
         if isinstance(uvr, UnclassifiableReason):

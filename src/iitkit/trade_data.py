@@ -25,7 +25,7 @@ import csv
 import math
 from dataclasses import dataclass, fields
 from itertools import chain, compress, groupby
-from operator import attrgetter, not_
+from operator import add, attrgetter, countOf, itemgetter, not_
 from typing import IO, Iterable, Iterator, NamedTuple, Sequence
 
 EXPECTED_HEADER = (
@@ -304,31 +304,29 @@ def _table(
         raise FlowParseError(row_number + 1, reason) from None
 
 
-def _merge(rows: Iterable[_Row]) -> CleanResult:
-    """Merge rows sharing a key by summation and drop zero-trade industries.
+def _sums(source: IO[bytes] | IO[str] | Iterable[str]) -> tuple[dict[str, tuple], int]:
+    """Each key's merged sums, and the count of rows read, of the table `source`.
 
-    Keys keep their first-seen order and each sum runs in row order, so the
-    result depends only on the sequence of rows. A side's volume is the sum
-    of its quantities only when every row of the key reports one; otherwise
-    it is None, since summing values over all rows but quantities over some
-    would bias the unit value. Raises OverflowError on a key whose trade or
-    volume total leaves the float range, the first such key in row order.
-
-    A key's sums are one (X, M, x, m, unit) tuple, replaced by each later row
-    of the key. The flows are made last, the last key first: each key is
-    split at its NULs, and it and its slot are freed, as its flow is made,
-    so the joined keys are never alive beside the FlowKeys. Each flow is
-    filled through its slots, as `IndustryFlow(...)` would fill it. Equal
-    key fields and units are one string, shared through a table private to
-    the call. Not sys.intern: its strings are global, and never freed on
-    some Python versions.
+    The sums are one (X, M, x, m, unit) tuple per NUL-joined key, in the
+    order the keys are first seen, replaced by each later row of the key.
+    Each sum runs in row order, so the result depends only on the sequence
+    of rows. A side's volume is the sum of its quantities only when every
+    row of the key reports one; otherwise it is None, since summing values
+    over all rows but quantities over some would bias the unit value. Keys
+    with zero trade are kept. Raises what `read_flows` raises, in its order:
+    a row fault or unit conflict, the first in row order, then OverflowError
+    on the first key with trade whose trade or volume total leaves the float
+    range. Equal units are one string, shared through a table private to
+    the call.
     """
+    if _is_binary(source):
+        rows = _row_blocks(_blocks(source))
+    else:
+        rows = _batches(_table(source, EXPECTED_HEADER))
     acc: dict[str, tuple] = {}
-    get = acc.get
-    share, new_key, new = {}.setdefault, tuple.__new__, object.__new__
-    set_key, set_xv, set_mv, set_xq, set_mq, set_unit = _FLOW_SETTERS
+    get, share = acc.get, {}.setdefault
     rows_read = 0
-    for key, xv, mv, xq, mq, unit in rows:
+    for key, xv, mv, xq, mq, unit in chain.from_iterable(rows):
         rows_read += 1
         slot = get(key)
         if slot is None:
@@ -343,11 +341,50 @@ def _merge(rows: Iterable[_Row]) -> CleanResult:
             None if mq is None or smq is None else smq + mq,
             share(unit, unit) if sunit is None else sunit,
         )
+    # Every row is finite and nonnegative, so a sum that overflowed is inf.
+    # Three passes in C find whether one did; only then are the keys walked.
+    inf, sums = math.inf, acc.values()
+    if (
+        inf in map(add, map(itemgetter(0), sums), map(itemgetter(1), sums))
+        or inf in map(itemgetter(2), sums) or inf in map(itemgetter(3), sums)
+    ):
+        for key, (xv, mv, xq, mq, _) in acc.items():
+            if (xv or mv) and (xv + mv == inf or xq == inf or mq == inf):
+                fields = tuple(key.split("\0"))
+                raise OverflowError(f"trade or volume total of key {fields} exceeds the float range")
+    return acc, rows_read
 
+
+def _sum_records(sums: dict[str, tuple]) -> Iterator[tuple]:
+    """The (key fields, X, M, x, m) of each key of `sums` with trade: the flows' order."""
+    for key, (xv, mv, xq, mq, _) in sums.items():
+        if xv or mv:
+            yield key.split("\0"), xv, mv, xq, mq
+
+
+def _zero_trade(sums: dict[str, tuple]) -> int:
+    """How many keys of `sums` have no trade, their X + M 0: the keys `_flows` drops."""
+    values = sums.values()
+    return countOf(map(add, map(itemgetter(0), values), map(itemgetter(1), values)), 0)
+
+
+def _flows(sums: dict[str, tuple], rows_read: int) -> CleanResult:
+    """The flows of `_sums`' keys with trade, in their order; the keys without are counted.
+
+    The flows are made last key first: each key is split at its NULs, and
+    it and its slot are freed, as its flow is made, so the joined keys are
+    never alive beside the FlowKeys; `sums` is left empty. Each flow is
+    filled through its slots, as `IndustryFlow(...)` would fill it. Equal key
+    fields are one string, shared through a table private to the call. Not
+    sys.intern: its strings are global, and never freed on some Python
+    versions.
+    """
+    share, new_key, new = {}.setdefault, tuple.__new__, object.__new__
+    set_key, set_xv, set_mv, set_xq, set_mq, set_unit = _FLOW_SETTERS
     flows: list[IndustryFlow] = []
-    dropped, overflow = 0, None
-    while acc:
-        key, (xv, mv, xq, mq, unit) = acc.popitem()
+    dropped = 0
+    while sums:
+        key, (xv, mv, xq, mq, unit) = sums.popitem()
         if xv == 0 and mv == 0:
             dropped += 1
             continue
@@ -357,9 +394,6 @@ def _merge(rows: Iterable[_Row]) -> CleanResult:
             share(period, period), share(reporter, reporter),
             share(partner, partner), share(code, code),
         ))
-        # Every row is finite and nonnegative, so a sum that overflowed is inf.
-        if xv + mv == math.inf or xq == math.inf or mq == math.inf:
-            overflow = key  # the last one popped is the first in row order
         flow = new(IndustryFlow)
         set_key(flow, key)
         set_xv(flow, xv)
@@ -368,11 +402,7 @@ def _merge(rows: Iterable[_Row]) -> CleanResult:
         set_mq(flow, mq)
         set_unit(flow, unit)
         flows.append(flow)
-    if overflow is not None:
-        raise OverflowError(
-            f"trade or volume total of key {tuple(overflow)} exceeds the float range"
-        )
-    acc.clear()  # frees its table before the tuple of flows is made
+    sums.clear()  # frees its table before the tuple of flows is made
     flows.reverse()
     return CleanResult(tuple(flows), dropped, rows_read)
 
@@ -532,7 +562,8 @@ def _first_fault(numbers: Sequence[int], columns: Sequence[Sequence[str]]) -> It
 def read_flows(source: IO[bytes] | IO[str] | Iterable[str]) -> CleanResult:
     """Parse, validate and merge a trade table in one pass.
 
-    This is the one ingestion entry point. `source` is a binary stream,
+    This is the one ingestion entry point; `_sums`, its first half, gives
+    the merged sums without the flows. `source` is a binary stream,
     decoded as UTF-8, or text; it is left open. Records sharing a key are
     merged by summation: values always sum; a side's volume sums only when
     every record of the key reports it. Raises FlowParseError on the first
@@ -545,15 +576,11 @@ def read_flows(source: IO[bytes] | IO[str] | Iterable[str]) -> CleanResult:
     reported, with the same message and row number whatever the route.
 
     The merge keys each row by its key fields joined by NULs, one string to
-    hash and compare. Equal strings among the key fields and units of the
-    flows are one shared object, so a flow costs its numbers and its key:
-    about 300 B at the peak, no string copies.
+    hash and compare. Equal key fields of the flows are one shared object,
+    and so are equal units, so a flow costs its numbers and its key: about
+    300 B at the peak, no string copies.
     """
-    if _is_binary(source):
-        rows = _row_blocks(_blocks(source))
-    else:
-        rows = _batches(_table(source, EXPECTED_HEADER))
-    return _merge(chain.from_iterable(rows))
+    return _flows(*_sums(source))
 
 
 def apply_grouping(
@@ -654,7 +681,7 @@ def read_grouping_map(source: IO[bytes] | IO[str] | Iterable[str]) -> dict[str, 
     malformed row, bytes that are not UTF-8 included, and on a row that puts
     an industry code in another group than an earlier row did; a repeat of
     the same pair is accepted. Equal group ids are one string, shared
-    through a table private to the call, as `_merge` shares key fields.
+    through a table private to the call, as `_flows` shares key fields.
     """
     mapping: dict[str, str] = {}
     share = {}.setdefault

@@ -19,7 +19,7 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import iitkit
 import iitkit.cli as cli
-from iitkit import differentiation
+from iitkit import differentiation, trade_data
 from iitkit.cli import main
 from iitkit.datasets import example_flows_path, example_panel_path
 from iitkit.differentiation import (
@@ -31,6 +31,7 @@ from iitkit.differentiation import (
     UnclassifiableReason,
     _plain,
     decompose_shares,
+    unit_value_ratio,
 )
 from iitkit.indices import TradeType, TradeTypeMethod
 from iitkit.sensitivity import (
@@ -1174,7 +1175,7 @@ def _listed_transitions(args: argparse.Namespace) -> int:
         raise cli.ConfigError(
             f"transitions needs at least 2 periods in the input, found {len(periods)}"
         )
-    cli._check(flows)
+    cli._check(flows, cli._flow_records)
     type_method = cli._type_method(args)
     panels: dict[tuple[str, str, str], list[IndustryGroup]] = {}
     for group in groups:
@@ -1428,17 +1429,19 @@ _HUGE_ROWS = st.dictionaries(
     mapping={"1": "G"},
 )
 def test_checked_table_fails_no_decomposition(body, mapping):
-    """Whenever `_check` passes the flows, `decompose_shares` raises on no
-    group, under every grouping policy: a report refuses no table that
-    validate accepts."""
+    """Whenever `_check` passes the merged sums, as validate checks them,
+    `decompose_shares` raises on no group, under every grouping policy: a
+    report refuses no table that validate accepts."""
+    table = f"{HEADER}\n{body}"
     try:
-        flows = read_flows(io.StringIO(f"{HEADER}\n{body}")).flows
+        sums, _ = trade_data._sums(io.StringIO(table))
     except OverflowError:  # a row's export and import sum past the float range
         return
     try:
-        cli._check(flows)
+        cli._check(sums, trade_data._sum_records)
     except OverflowError:
         return
+    flows = read_flows(io.StringIO(table)).flows
     for policy in GROUP_POLICIES:
         try:
             groups = apply_grouping(flows, mapping, policy)
@@ -1446,3 +1449,126 @@ def test_checked_table_fails_no_decomposition(body, mapping):
             continue
         for group in groups:
             decompose_shares(group, DifferentiationMethod("ghm"), TradeTypeMethod.vona())
+
+
+def _listed_check(flows: tuple) -> None:
+    """`cli._check` as it was when it read the flows, one IndustryFlow at a time."""
+    total = 0.0
+    for flow in flows:
+        unit_value_ratio(flow)
+        total += flow.total_trade
+    if total < math.inf:
+        return
+    totals: dict[tuple[str, ...], float] = {}
+    for flow in flows:
+        snapshot = flow.key[:3]
+        totals[snapshot] = totals.get(snapshot, 0.0) + flow.total_trade
+        if totals[snapshot] == math.inf:
+            raise OverflowError(f"total trade of {snapshot} exceeds the float range")
+
+
+def _listed_validate(args: argparse.Namespace) -> int:
+    """The validate runner as it was when it built the flows: read_flows, then
+    the check of the flows, then the counts. The runner that checks the
+    merged sums must write what it wrote."""
+    cleaned = cli._read(args.input, "input file", read_flows)
+    _listed_check(cleaned.flows)
+    print(
+        f"ok: {cleaned.rows_read} rows, {len(cleaned.flows)} industry flows, "
+        f"{cleaned.dropped_zero_trade} zero-trade industries dropped"
+    )
+    return cli.EXIT_OK
+
+
+# Rows that repeat keys. A key of "tonnes" and "ok" rows conflicts on its
+# unit; two "big" rows of one snapshot overflow it, and of one key its sum;
+# "nan", "inf" and "zero-ratio" rows have a ratio out of range; repeated
+# "zero-qty" rows overflow the quantity of a key without trade, which is
+# dropped; "negative" and "short" rows are malformed.
+_VALIDATE_KINDS = {
+    "ok": "116,100,100,100,kg",
+    "tonnes": "116,100,100,100,t",
+    "no-volume": "116,100,,,",
+    "one-way": "100,0,,,",
+    "zero": "0,0,,,",
+    "zero-qty": "0,0,1e308,,kg",
+    "big": "1e308,0,,,",
+    "big-sum": "1e308,5,1,1,kg",
+    "nan": "1e300,1e300,1e-10,1e-10,kg",
+    "inf": "1e300,1e-300,1e-10,1e10,kg",
+    "zero-ratio": "1e-300,1e300,1e10,1e-10,kg",
+    "negative": "-1,100,,,",
+    "short": "1,2",
+}
+_VALIDATE_ROWS = st.lists(
+    st.tuples(
+        st.sampled_from(["2020", "2021"]),
+        st.sampled_from(["DEU", "USA"]),
+        st.sampled_from(["1", "2", "3"]),
+        st.sampled_from(
+            ["ok"] * 6 + ["no-volume", "one-way", "zero", "tonnes"] + ["zero-qty", "big"] * 2
+            + ["big-sum", "nan", "inf", "zero-ratio", "negative", "short"]
+        ),
+    ),
+    max_size=14,
+).map(lambda rows: "".join(
+    f"{period},FRA,{partner},{code},{_VALIDATE_KINDS[kind]}\n"
+    for period, partner, code, kind in rows
+))
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(body=_VALIDATE_ROWS)
+# A key without trade whose quantity sum overflows is dropped, not an error.
+@example(body="2020,FRA,DEU,3,0,0,1e308,,kg\n2020,FRA,DEU,3,0,0,1e308,,kg\n"
+              "2020,FRA,DEU,1,116,100,100,100,kg\n")
+# A key's sum overflows after an earlier key's ratio is NaN: the sum's message, with the path.
+@example(body=(FIXTURES / "overflow_sum_after_bad_ratio.csv").read_text().split("\n", 1)[1])
+# Each key is finite; the snapshot's total is not.
+@example(body="2020,FRA,DEU,1,1e308,0,,,\n2020,FRA,DEU,2,1e308,0,,,\n")
+def test_validate_writes_what_the_flow_check_wrote(tmp_path, monkeypatch, capsys, body):
+    """Exit code, stdout and stderr of validate, which checks the merged
+    sums, equal those of the runner that built and checked the flows."""
+    table = tmp_path / "flows.csv"
+    table.write_text(f"{HEADER}\n{body}")
+    argv = ["validate", "--input", str(table)]
+    summed = main(argv), capsys.readouterr()
+    with monkeypatch.context() as patch:
+        patch.setitem(cli._RUNNERS, "validate", _listed_validate)
+        listed = main(argv), capsys.readouterr()
+    assert summed == listed
+
+
+def _refuse(*args):
+    raise AssertionError("validate built a flow record")
+
+
+@pytest.mark.parametrize("table", [
+    example_flows_path(), example_panel_path(), *sorted(FIXTURES.glob("*.csv")),
+], ids=lambda path: path.name)
+def test_validate_builds_no_flow_record(table, monkeypatch, capsys):
+    """validate reads the merged sums only, yet says what it said when it built
+    the flows."""
+    summed = cli._RUNNERS["validate"]
+    monkeypatch.setitem(cli._RUNNERS, "validate", _listed_validate)
+    expected = run("validate", "--input", table), capsys.readouterr()
+    monkeypatch.setitem(cli._RUNNERS, "validate", summed)
+    monkeypatch.setattr(trade_data, "_flows", _refuse)
+    monkeypatch.setattr(cli, "read_flows", _refuse)
+    assert (run("validate", "--input", table), capsys.readouterr()) == expected
+
+
+@pytest.mark.parametrize("command", ["compute", "sweep", "transitions"])
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_each_report_reads_the_flows_once(command, fmt, monkeypatch, capsys):
+    calls = []
+
+    def counted(source):
+        calls.append(source)
+        return real(source)
+
+    real = cli.read_flows
+    monkeypatch.setattr(cli, "read_flows", counted)
+    assert run(command, "--input", example_panel_path(), "--format", fmt) == 0
+    capsys.readouterr()
+    assert len(calls) == 1
