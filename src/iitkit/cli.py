@@ -23,9 +23,9 @@ import os
 import shutil
 import sys
 from json.encoder import encode_basestring_ascii
-from operator import attrgetter
+from operator import itemgetter
 from pathlib import Path
-from typing import BinaryIO, Callable, Iterable, TypeVar
+from typing import BinaryIO, Callable, Iterable, Sequence, TypeVar
 
 from iitkit.differentiation import (
     FAMILIES,
@@ -203,39 +203,32 @@ def _load_groups(
         raise DataError(str(exc)) from exc
 
 
-def _check(table: _T, records: Callable[[_T], Iterable[tuple]]) -> None:
+def _check(table: _T, records: Callable[[_T], Iterable[Sequence]] = iter) -> None:
     """Raise OverflowError unless every report can form its numbers from `table`.
 
-    `records(table)` gives the (key fields, X, M, x, m) of each flow in flow
-    order: `_sum_records` of the merged sums, for validate, or `_flow_records`
-    of the flows, for the reports, so both decide by this one rule. In that
-    order, raises on the first unit-value ratio out of range; then, only
-    when the table's total trade overflows, takes the records again and
-    raises on the first (period, reporter, partner) snapshot whose total
-    does. Float sums of nonnegative values only grow along a sequence, so a
-    finite fold bounds the fold of any subsequence: under any group map and
-    policy, a group's members are a subsequence of its snapshot's flows,
-    folded in that order by IndustryGroup.total_trade. Not so the
-    compensated sum() of 3.12.
+    `records(table)` gives the nine fields of each flow in flow order: the
+    flows themselves, for the reports, or `_sum_records` of the merged sums,
+    for validate, so both decide by this one rule. In that order, raises on
+    the first unit-value ratio out of range; then, only when the table's
+    total trade overflows, takes the records again and raises on the first
+    (period, reporter, partner) snapshot whose total does. Float sums of
+    nonnegative values only grow along a sequence, so a finite fold bounds
+    the fold of any subsequence: under any group map and policy, a group's
+    members are a subsequence of its snapshot's flows, folded in that order
+    by IndustryGroup.total_trade. Not so the compensated sum() of 3.12.
     """
     total = 0.0
-    for key, xv, mv, xq, mq in records(table):
-        _unit_values(key, xv, mv, xq, mq)
-        total += xv + mv
+    for record in records(table):
+        _unit_values(record)
+        total += record[4] + record[5]
     if total < math.inf:
         return
     totals: dict[tuple[str, ...], float] = {}
-    for key, xv, mv, _, _ in records(table):
-        snapshot = tuple(key[:3])
-        totals[snapshot] = totals.get(snapshot, 0.0) + (xv + mv)
+    for record in records(table):
+        snapshot = record[:3]
+        totals[snapshot] = totals.get(snapshot, 0.0) + (record[4] + record[5])
         if totals[snapshot] == math.inf:
             raise OverflowError(f"total trade of {snapshot} exceeds the float range")
-
-
-# The records `_check` reads from flows: one (key, X, M, x, m) tuple each, made in C.
-_flow_records = functools.partial(map, attrgetter(
-    "key", "export_value", "import_value", "export_volume", "import_volume"
-))
 
 
 def _type_method(args: argparse.Namespace) -> TradeTypeMethod:
@@ -414,7 +407,7 @@ def _write_report(
 
 def _run_compute(args: argparse.Namespace) -> int:
     flows, mapping, ordered = _load_groups(args, _group_order)
-    _check(flows, _flow_records)
+    _check(flows)
     groups = _groups(ordered, mapping)
     method = DifferentiationMethod(args.family, args.alpha)
     type_method = _type_method(args)
@@ -427,7 +420,7 @@ def _run_compute(args: argparse.Namespace) -> int:
 
 def _run_sweep(args: argparse.Namespace) -> int:
     flows, mapping, ordered = _load_groups(args, _group_order)
-    _check(flows, _flow_records)
+    _check(flows)
     groups = _groups(ordered, mapping)
     type_method = _type_method(args)
     if args.format == "csv":  # a CSV report holds only the flips
@@ -441,7 +434,7 @@ def _run_sweep(args: argparse.Namespace) -> int:
 
 def _run_transitions(args: argparse.Namespace) -> int:
     flows, mapping, ordered = _load_groups(args, _panel_order)
-    period = attrgetter("key.period")
+    period = itemgetter(0)
     # A first pass over the panels counts what is written before the first
     # one: the periods, and the panels of one period, which are skipped.
     periods: set[str] = set()
@@ -455,7 +448,7 @@ def _run_transitions(args: argparse.Namespace) -> int:
         raise ConfigError(
             f"transitions needs at least 2 periods in the input, found {len(periods)}"
         )
-    _check(flows, _flow_records)
+    _check(flows)
 
     # One group per period in each panel, cut from its flows sorted on period;
     # nature_transitions puts the periods in their natural order. map and

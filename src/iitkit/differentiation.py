@@ -106,20 +106,17 @@ def unit_value_ratio(flow: IndustryFlow) -> UnitValueRatio | UnclassifiableReaso
     Raises OverflowError when the ratio of finite positive inputs is not a
     positive finite float, because a unit value over- or underflowed.
     """
-    values = _unit_values(
-        flow.key, flow.export_value, flow.import_value, flow.export_volume, flow.import_volume
-    )
+    values = _unit_values(flow)
     return values if isinstance(values, UnclassifiableReason) else UnitValueRatio(*values)
 
 
-def _unit_values(
-    key: Sequence[str], xv: float, mv: float, xq: float | None, mq: float | None
-) -> tuple[float, float, float] | UnclassifiableReason:
-    """`unit_value_ratio` of a flow given as its key fields and sums X, M, x and m.
+def _unit_values(flow: Sequence) -> tuple[float, float, float] | UnclassifiableReason:
+    """`unit_value_ratio` of a flow or of any sequence of its nine fields.
 
     Gives a plain (X/x, M/m, ratio) tuple. This is the one ratio rule: the
-    per-flow loops, `cli._check` and `_members`, call it on the numbers.
+    per-flow loops, `cli._check` and `_members`, call it on their records.
     """
+    _, _, _, _, xv, mv, xq, mq, _ = flow
     if xq is None or mq is None:
         return UnclassifiableReason.MISSING_VOLUME
     if xq == 0 or mq == 0:
@@ -131,7 +128,7 @@ def _unit_values(
     ratio = vux / vum if vum > 0 else math.inf  # M/m can underflow to 0
     if not 0 < ratio < math.inf:  # also false for NaN
         raise OverflowError(
-            f"unit-value ratio of key {tuple(key)} is {ratio}: "
+            f"unit-value ratio of key {tuple(flow[:4])} is {ratio}: "
             "a unit value over- or underflows the float range"
         )
     return vux, vum, ratio
@@ -313,7 +310,7 @@ def _industry_lines(members: Iterable[tuple], total: float) -> tuple[IndustryLin
     lines = []
     for flow, trade_type, amount, ratio, reason, label, _ in members:
         lines.append(IndustryLine(  # _value_ is .value, without the descriptor's Python call
-            *flow.key, trade_type._value_, ratio, label._value_ if label else None,
+            *flow[:4], trade_type._value_, ratio, label._value_ if label else None,
             reason._value_ if reason else None, amount / total,
         ))
     return tuple(lines)
@@ -358,7 +355,7 @@ def _members(
             amount = 2.0 * min(xv, mv)
         else:
             amount = xv + mv if trade_type is two_way else 0.0
-        uvr = _unit_values(flow.key, xv, mv, flow.export_volume, flow.import_volume)
+        uvr = _unit_values(flow)
         ratio = reason = label = None
         first = count
         if isinstance(uvr, UnclassifiableReason):

@@ -62,7 +62,7 @@ class TradeTypeMethod:
 
 def _require_trade(flow: IndustryFlow) -> None:
     if flow.export_value + flow.import_value == 0:
-        raise UndefinedIndexError(f"zero total trade for key {tuple(flow.key)}")
+        raise UndefinedIndexError(f"zero total trade for key {tuple(flow[:4])}")
 
 
 def balassa_index(flow: IndustryFlow) -> float:

@@ -158,10 +158,12 @@ def _validate_alphas(alphas: Sequence[float]) -> tuple[float, ...]:
 
 def _flips(alphas: tuple[float, ...], members: Iterable[tuple]) -> tuple[FlipPoint, ...]:
     """The flips of a `_members` pass over `alphas`: by boundary, then in member order."""
-    flipping = [(m[6], m[0].key, m[5]) for m in members if 0 < m[6] < len(alphas)]
+    flipping = [(m[6], m[0], m[5]) for m in members if 0 < m[6] < len(alphas)]
     flipping.sort(key=itemgetter(0))  # by first horizontal index, stable
     horizontal = Differentiation.HORIZONTAL
-    return tuple([FlipPoint(key, alphas[k], label, horizontal) for k, key, label in flipping])
+    return tuple([
+        FlipPoint(flow.key, alphas[k], label, horizontal) for k, flow, label in flipping
+    ])
 
 
 def alpha_sweep(
@@ -254,7 +256,7 @@ def nature_transitions(
     for group in sorted(groups, key=lambda g: _period_order(g.snapshot[0])):
         _group_total(group)
         by_code.append({
-            flow.key[3]: (flow.key, ratio, label)
+            flow[3]: (flow, ratio, label)
             for flow, _, _, ratio, _, label, _ in _members(group, methods, type_method)
         })
 
@@ -263,14 +265,14 @@ def nature_transitions(
     absent = (None, None, None)
     for from_map, to_map in zip(by_code, by_code[1:]):
         for code in sorted(from_map.keys() | to_map.keys()):
-            key_from, ratio_from, label_from = from_map.get(code, absent)
-            key_to, ratio_to, label_to = to_map.get(code, absent)
+            flow_from, ratio_from, label_from = from_map.get(code, absent)
+            flow_to, ratio_to, label_to = to_map.get(code, absent)
             if label_from is None or label_to is None:
                 skipped += 1
             else:
-                transitions.append(
-                    Transition(key_from, key_to, ratio_from, ratio_to, label_from, label_to)
-                )
+                transitions.append(Transition(
+                    flow_from.key, flow_to.key, ratio_from, ratio_to, label_from, label_to
+                ))
     (reporter, partner, group_id), = panels
     return TransitionReport(
         reporter, partner, group_id, family, alpha, tuple(transitions), skipped

@@ -25,7 +25,7 @@ import csv
 import math
 from dataclasses import dataclass, fields
 from itertools import chain, compress, groupby
-from operator import add, attrgetter, countOf, itemgetter, not_
+from operator import add, countOf, itemgetter, not_
 from typing import IO, Iterable, Iterator, NamedTuple, Sequence
 
 EXPECTED_HEADER = (
@@ -90,16 +90,41 @@ class FlowKey(NamedTuple):
     industry_code: str
 
 
-@dataclass(frozen=True, slots=True)
-class IndustryFlow:
-    """Paired export/import observation for one industry x period x partner."""
-
-    key: FlowKey
+class _FlowFields(NamedTuple):
+    period: str
+    reporter: str
+    partner: str
+    industry_code: str
     export_value: float
     import_value: float
     export_volume: float | None = None
     import_volume: float | None = None
     volume_unit: str | None = None
+
+
+class IndustryFlow(_FlowFields):
+    """Paired export/import observation for one industry x period x partner.
+
+    One flat record of nine fields: the four key fields, then X, M, x, m
+    and the volume unit. It compares and orders as the tuple of its fields;
+    `_replace` and `_make` take the fields by name or in order. The
+    constructor is IndustryFlow(key, X, M, x=None, m=None, unit=None), the
+    key one FlowKey (any 4-sequence) and the rest by position or by field
+    name; `key` builds a FlowKey on demand.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, key: Sequence[str], *values, **named) -> IndustryFlow:
+        period, reporter, partner, code = key  # a key of another length raises ValueError
+        return super().__new__(cls, period, reporter, partner, code, *values, **named)
+
+    def __getnewargs__(self) -> tuple:
+        return (self[:4], *self[4:])
+
+    @property
+    def key(self) -> FlowKey:
+        return tuple.__new__(FlowKey, self[:4])  # FlowKey's __new__ and _make are Python code
 
     @property
     def total_trade(self) -> float:
@@ -122,7 +147,7 @@ class IndustryGroup:
     def __post_init__(self) -> None:
         if not self.members:
             raise ValueError(f"group {self.group_id!r} has no members")
-        snapshots = {m.key[:3] for m in self.members}
+        snapshots = {m[:3] for m in self.members}
         if len(snapshots) > 1:
             raise ValueError(
                 f"group {self.group_id!r} mixes snapshots: {sorted(snapshots)}"
@@ -131,7 +156,7 @@ class IndustryGroup:
     @property
     def snapshot(self) -> tuple[str, str, str]:
         """(period, reporter, partner) shared by every member."""
-        return self.members[0].key[:3]
+        return self.members[0][:3]
 
     @property
     def total_trade(self) -> float:
@@ -146,18 +171,11 @@ class IndustryGroup:
         return total
 
 
-def _slot_setters(cls: type) -> tuple:
-    """The setter of each field's slot, in field order.
-
-    `object.__new__(cls)` and one call of each fill a record as `__init__`
-    would, at under half the cost, but skip `__post_init__`: use them only
-    where it has nothing to do, or only checks what the caller ensures.
-    """
-    return tuple(getattr(cls, f.name).__set__ for f in fields(cls))
-
-
-_FLOW_SETTERS = _slot_setters(IndustryFlow)
-_GROUP_SETTERS = _slot_setters(IndustryGroup)
+# The setter of each of IndustryGroup's slots, in field order. `object.__new__`
+# and one call of each fill a group as `__init__` would, at under half the
+# cost, but skip `__post_init__`: use them only where the caller ensures what
+# it checks.
+_GROUP_SETTERS = tuple(getattr(IndustryGroup, f.name).__set__ for f in fields(IndustryGroup))
 
 
 @dataclass(frozen=True)
@@ -356,10 +374,14 @@ def _sums(source: IO[bytes] | IO[str] | Iterable[str]) -> tuple[dict[str, tuple]
 
 
 def _sum_records(sums: dict[str, tuple]) -> Iterator[tuple]:
-    """The (key fields, X, M, x, m) of each key of `sums` with trade: the flows' order."""
-    for key, (xv, mv, xq, mq, _) in sums.items():
+    """The nine fields of the flow of each key of `sums` with trade, in the flows' order.
+
+    Each is a plain tuple, made when it is asked for: no flow is built.
+    """
+    for key, (xv, mv, xq, mq, unit) in sums.items():
         if xv or mv:
-            yield key.split("\0"), xv, mv, xq, mq
+            period, reporter, partner, code = key.split("\0")
+            yield period, reporter, partner, code, xv, mv, xq, mq, unit
 
 
 def _zero_trade(sums: dict[str, tuple]) -> int:
@@ -373,14 +395,14 @@ def _flows(sums: dict[str, tuple], rows_read: int) -> CleanResult:
 
     The flows are made last key first: each key is split at its NULs, and
     it and its slot are freed, as its flow is made, so the joined keys are
-    never alive beside the FlowKeys; `sums` is left empty. Each flow is
-    filled through its slots, as `IndustryFlow(...)` would fill it. Equal key
-    fields are one string, shared through a table private to the call. Not
+    never alive beside the flows; `sums` is left empty. Each flow is one
+    `tuple.__new__`, which skips `IndustryFlow.__new__`, Python code, and
+    holds the nine fields the constructor would give it. Equal key fields
+    are one string, shared through a table private to the call. Not
     sys.intern: its strings are global, and never freed on some Python
     versions.
     """
-    share, new_key, new = {}.setdefault, tuple.__new__, object.__new__
-    set_key, set_xv, set_mv, set_xq, set_mq, set_unit = _FLOW_SETTERS
+    share, new = {}.setdefault, tuple.__new__
     flows: list[IndustryFlow] = []
     dropped = 0
     while sums:
@@ -388,20 +410,11 @@ def _flows(sums: dict[str, tuple], rows_read: int) -> CleanResult:
         if xv == 0 and mv == 0:
             dropped += 1
             continue
-        # tuple.__new__ builds the FlowKey without its __new__, which is Python code.
         period, reporter, partner, code = key.split("\0")
-        key = new_key(FlowKey, (
+        flows.append(new(IndustryFlow, (
             share(period, period), share(reporter, reporter),
-            share(partner, partner), share(code, code),
-        ))
-        flow = new(IndustryFlow)
-        set_key(flow, key)
-        set_xv(flow, xv)
-        set_mv(flow, mv)
-        set_xq(flow, xq)
-        set_mq(flow, mq)
-        set_unit(flow, unit)
-        flows.append(flow)
+            share(partner, partner), share(code, code), xv, mv, xq, mq, unit,
+        )))
     sums.clear()  # frees its table before the tuple of flows is made
     flows.reverse()
     return CleanResult(tuple(flows), dropped, rows_read)
@@ -577,8 +590,10 @@ def read_flows(source: IO[bytes] | IO[str] | Iterable[str]) -> CleanResult:
 
     The merge keys each row by its key fields joined by NULs, one string to
     hash and compare. Equal key fields of the flows are one shared object,
-    and so are equal units, so a flow costs its numbers and its key: about
-    300 B at the peak, no string copies.
+    and so are equal units, so a flow costs one record of nine fields and
+    its numbers: 265-285 B at the peak on a table of a few periods,
+    reporters and partners, 320-350 B where every key has its own code; no
+    string copies.
     """
     return _flows(*_sums(source))
 
@@ -608,7 +623,7 @@ def _group_order(
     (period, reporter, partner, group_id), ties in their order in `flows`.
     """
     ordered = _panel_order(flows, mapping, policy)
-    ordered.sort(key=attrgetter("key.period"))
+    ordered.sort(key=itemgetter(0))
     return ordered
 
 
@@ -627,15 +642,15 @@ def _panel_order(
         raise ValueError(f"unknown grouping policy {policy!r}, expected one of {GROUP_POLICIES}")
     mapping = mapping or {}
     if policy == "drop":
-        flows = (flow for flow in flows if flow.key.industry_code in mapping)
+        flows = (flow for flow in flows if flow[3] in mapping)
     get = mapping.get
-    ordered = sorted(flows, key=lambda flow: get(flow.key.industry_code, flow.key.industry_code))
+    ordered = sorted(flows, key=lambda flow: get(flow[3], flow[3]))
     if policy == "strict":
-        missing = sorted({flow.key.industry_code for flow in ordered} - mapping.keys())
+        missing = sorted(set(map(itemgetter(3), ordered)) - mapping.keys())
         if missing:
             raise UnmappedCodeError(missing)
-    for field in ("partner", "reporter"):
-        ordered.sort(key=attrgetter(f"key.{field}"))
+    for field in (2, 1):  # partner, then reporter
+        ordered.sort(key=itemgetter(field))
     return ordered
 
 
@@ -643,13 +658,9 @@ def _panels(
     ordered: Iterable[IndustryFlow], mapping: dict[str, str] | None
 ) -> Iterator[Iterator[IndustryFlow]]:
     """The flows of each panel of `_panel_order`, one run each."""
-    get = (mapping or {}).get
-
-    def panel_key(flow: IndustryFlow) -> tuple[str, str, str]:
-        _, reporter, partner, code = flow.key
-        return reporter, partner, get(code, code)
-
-    return (run for _, run in groupby(ordered, panel_key))
+    get = (mapping or {}).get  # a run's key: reporter, partner and group id
+    runs = groupby(ordered, lambda f: (f[1], f[2], get(f[3], f[3])))
+    return (run for _, run in runs)
 
 
 def _groups(ordered: Iterable[IndustryFlow], mapping: dict[str, str] | None) -> Iterator[IndustryGroup]:
@@ -660,14 +671,10 @@ def _groups(ordered: Iterable[IndustryFlow], mapping: dict[str, str] | None) -> 
     either order under one group key is nonempty and of one snapshot, so
     the constructor's check could not fail.
     """
-    get = (mapping or {}).get
-
-    def group_key(flow: IndustryFlow) -> tuple[str, str, str, str]:
-        period, reporter, partner, code = flow.key
-        return period, reporter, partner, get(code, code)  # own-code fallback
-
+    get = (mapping or {}).get  # a run's key: snapshot and group id, the code if unmapped
     new, (set_group_id, set_members) = object.__new__, _GROUP_SETTERS
-    for (_, _, _, group_id), members in groupby(ordered, group_key):
+    runs = groupby(ordered, lambda f: (f[0], f[1], f[2], get(f[3], f[3])))
+    for (_, _, _, group_id), members in runs:
         group = new(IndustryGroup)
         set_group_id(group, group_id)
         set_members(group, tuple(members))

@@ -783,6 +783,37 @@ class TestGoldenOutput:
         assert self.digest(capsys) == GOLDEN_VALIDATE[dataset]
 
 
+class TestFlowKeysBuilt:
+    """A report reads a flow's key fields in place. It builds a FlowKey only
+    for a record that holds one: a written FlipPoint or Transition endpoint."""
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("command", ["compute", "sweep", "transitions"])
+    def test_one_key_per_written_endpoint_at_most(self, command, fmt, capsys, monkeypatch):
+        calls = []
+        key = trade_data.IndustryFlow.key.fget
+        monkeypatch.setattr(
+            trade_data.IndustryFlow, "key", property(lambda flow: calls.append(flow) or key(flow))
+        )
+        monkeypatch.chdir(FIXTURES)
+        assert main([
+            command, "--input", "grouped_panel.csv", "--group-map", "grouped_panel_groups.csv",
+            "--format", fmt,
+        ]) == 0
+        out = capsys.readouterr().out
+        if command == "compute":
+            assert calls == []
+            return
+        if fmt == "csv":
+            written = out.count("\n") - 1
+        elif command == "sweep":
+            written = sum(len(s["flip_points"]) for s in json.loads(out)["sweeps"])
+        else:
+            written = sum(len(p["transitions"]) for p in json.loads(out)["panels"])
+        endpoints = written if command == "sweep" else 2 * written
+        assert 0 < len(calls) <= endpoints
+
+
 class TestEntryPoint:
     """The installed command and `python -m iitkit.cli` run through entry_point,
     which switches the cyclic collector off; main() leaves it as it was."""
@@ -1175,7 +1206,7 @@ def _listed_transitions(args: argparse.Namespace) -> int:
         raise cli.ConfigError(
             f"transitions needs at least 2 periods in the input, found {len(periods)}"
         )
-    cli._check(flows, cli._flow_records)
+    cli._check(flows)
     type_method = cli._type_method(args)
     panels: dict[tuple[str, str, str], list[IndustryGroup]] = {}
     for group in groups:

@@ -1,8 +1,10 @@
+import copy
 import csv
 import dataclasses
 import gc
 import io
 import math
+import pickle
 import random
 import tracemalloc
 
@@ -728,7 +730,7 @@ class TestSharedStrings:
         return (header + "".join(rows) + "".join(r for r in rows if rng.random() < 0.8)).encode()
 
     def test_peak_memory_per_key(self, table):
-        # Each flow costs about 300 B at the peak. A merge slot alive beside
+        # Each flow costs 265-285 B at the peak. A merge slot alive beside
         # its flow (about 60 B), a copy of each key's strings (about 53 B
         # apiece) or of the merged table exceeds the bound.
         assert _peak_per_flow(table) < 340
@@ -741,6 +743,23 @@ class TestSharedStrings:
         # Key fields holding a comma are kept as a tuple, not joined: its
         # fields are shared too, or each key would hold its own copies.
         assert _peak_per_flow(table.replace(b",DEU,", b',"Germany, FR",')) < 340
+
+    @pytest.fixture(scope="class")
+    def unique_codes(self) -> bytes:
+        """The criterion-8 layout: 20,000 keys, each with its own code, each in 3 rows."""
+        rng = random.Random(8)
+        rows = (
+            f"2020,FRA,P{i % 20:02d},{i % 20_000:06d},{rng.uniform(0, 1e6):.2f},"
+            f"{rng.uniform(0, 1e6):.2f},{rng.uniform(1, 1e4):.1f},{rng.uniform(1, 1e4):.1f},kg\n"
+            for i in range(60_000)
+        )
+        return (HEADER + "\n" + "".join(rows)).encode()
+
+    def test_peak_memory_per_unique_key(self, unique_codes):
+        # No code is shared, so the flows' build sets the peak: 320-348 B a
+        # flow on Python 3.10-3.13. A FlowKey beside each flow (about 70 B)
+        # exceeds the bound.
+        assert _peak_per_flow(unique_codes) < 350
 
 
 def _peak_per_flow(table: bytes) -> float:
@@ -865,18 +884,60 @@ def _constructed(record):
 
 @given(_block_tables(), st.booleans())
 @settings(max_examples=200)
-def test_slot_built_flows_equal_constructed_ones(raw, binary):
-    """Each flow `_merge` fills through its slots equals the one IndustryFlow(...) builds,
-    with the same hash and repr, from a binary or a text source."""
+def test_merged_flows_equal_constructed_ones(raw, binary):
+    """Each flow `_flows` builds with tuple.__new__ equals the one
+    IndustryFlow(flow.key, ...) builds, with the same hash and repr, from a
+    binary or a text source."""
     try:
         source = io.BytesIO(raw) if binary else io.StringIO(raw.decode(), newline="")
         flows = read_flows(source).flows
     except (UnicodeDecodeError, FlowParseError, UnitConflictError, OverflowError):
         return
     for flow in flows:
-        built = _constructed(flow)
+        key = flow.key
+        built = IndustryFlow(key, flow.export_value, flow.import_value,
+                             flow.export_volume, flow.import_volume, flow.volume_unit)
         assert type(flow) is IndustryFlow
+        assert type(key) is FlowKey and key == flow[:4]
         assert (flow, hash(flow), repr(flow)) == (built, hash(built), repr(built))
+
+
+def test_flow_is_one_flat_record():
+    key = FlowKey("2020", "FRA", "DEU", "1")
+    flow = IndustryFlow(key, 5.0, 8.0, 2.0, None, "kg")
+    assert flow == ("2020", "FRA", "DEU", "1", 5.0, 8.0, 2.0, None, "kg")
+    assert IndustryFlow._fields == (*FlowKey._fields, "export_value", "import_value",
+                                    "export_volume", "import_volume", "volume_unit")
+    assert IndustryFlow(key, 5.0, 8.0) == (*key, 5.0, 8.0, None, None, None)
+    assert flow.key == key and type(flow.key) is FlowKey
+    assert flow.total_trade == 13.0
+    assert IndustryFlow(FlowKey("2020", "FRA", "DEU", "2"), 1.0, 1.0) > flow
+    assert not hasattr(flow, "__dict__")
+    assert IndustryFlow(key, import_value=8.0, export_value=5.0, volume_unit="kg") == (
+        *key, 5.0, 8.0, None, None, "kg"
+    )
+    with pytest.raises(ValueError):
+        IndustryFlow(("2020", "FRA", "DEU"), 5.0, 8.0)
+    with pytest.raises(TypeError):
+        IndustryFlow(key, 5.0)
+    with pytest.raises(TypeError):
+        IndustryFlow(key, 5.0, 8.0, 2.0, None, "kg", "extra")
+
+
+def test_flow_round_trips():
+    """_replace, _make, pickle and copy give back an IndustryFlow equal to the one they took."""
+    (flow,) = parse(f"{HEADER}\n2020,FRA,DEU,1,5,8,2,,kg\n").flows
+    changed = flow._replace(export_value=6.0)
+    assert type(changed) is IndustryFlow
+    assert changed == IndustryFlow(flow.key, 6.0, 8.0, 2.0, None, "kg")
+    copies = [
+        IndustryFlow._make(flow), flow._replace(), copy.copy(flow), copy.deepcopy(flow),
+        *(pickle.loads(pickle.dumps(flow, protocol))
+          for protocol in range(pickle.HIGHEST_PROTOCOL + 1)),
+    ]
+    for copied in copies:
+        assert type(copied) is IndustryFlow
+        assert (copied, hash(copied), repr(copied)) == (flow, hash(flow), repr(flow))
 
 
 @given(_flows_and_maps())
@@ -888,19 +949,14 @@ def test_slot_built_groups_equal_constructed_ones(flows_and_map):
         assert (group, hash(group), repr(group)) == (built, hash(built), repr(built))
 
 
-@pytest.mark.parametrize("cls, setters", [
-    (IndustryFlow, trade_data._FLOW_SETTERS), (IndustryGroup, trade_data._GROUP_SETTERS),
-])
-def test_slot_setters_fill_all_that_init_would(cls, setters):
-    """The merge and the grouping skip __init__: the setters must cover every field,
-    and __post_init__, if any, may only check. Every slot is a field, so a
-    __post_init__ could only rewrite a field, which would show here."""
+def test_group_slot_setters_fill_all_that_init_would():
+    """The grouping skips __init__: the setters must cover every field, and
+    __post_init__ may only check. Every slot is a field, so a __post_init__
+    could only rewrite a field, which would show here."""
+    cls, setters = IndustryGroup, trade_data._GROUP_SETTERS
     names = tuple(f.name for f in dataclasses.fields(cls))
     assert cls.__slots__ == names
     assert tuple(setter.__self__.__name__ for setter in setters) == names
-    if cls is IndustryFlow:
-        assert not hasattr(cls, "__post_init__")
-        return
     group = next(trade_data._groups(parse(f"{HEADER}\n2020,FRA,DEU,1,5,8,,,\n").flows, None))
     fields = [getattr(group, name) for name in names]
     assert group.__post_init__() is None
