@@ -60,7 +60,6 @@ from iitkit.trade_data import (
     _panels,
     _sum_records,
     _sums,
-    _zero_trade,
     read_flows,
     read_grouping_map,
 )
@@ -469,11 +468,10 @@ def _run_transitions(args: argparse.Namespace) -> int:
 
 
 def _run_validate(args: argparse.Namespace) -> int:
-    sums, rows_read = _read(args.input, "input file", _sums)
+    sums, rows_read, dropped = _read(args.input, "input file", _sums)
     _check(sums, _sum_records)
-    dropped = _zero_trade(sums)
     print(
-        f"ok: {rows_read} rows, {len(sums) - dropped} industry flows, "
+        f"ok: {rows_read} rows, {len(sums)} industry flows, "
         f"{dropped} zero-trade industries dropped"
     )
     return EXIT_OK

@@ -25,7 +25,7 @@ import csv
 import math
 from dataclasses import dataclass, fields
 from itertools import chain, compress, groupby
-from operator import add, countOf, itemgetter, not_
+from operator import itemgetter, not_
 from typing import IO, Iterable, Iterator, NamedTuple, Sequence
 
 EXPECTED_HEADER = (
@@ -322,20 +322,21 @@ def _table(
         raise FlowParseError(row_number + 1, reason) from None
 
 
-def _sums(source: IO[bytes] | IO[str] | Iterable[str]) -> tuple[dict[str, tuple], int]:
-    """Each key's merged sums, and the count of rows read, of the table `source`.
+def _sums(source: IO[bytes] | IO[str] | Iterable[str]) -> tuple[dict[str, tuple], int, int]:
+    """The merged sums of the keys with trade of `source`, its rows read and its keys dropped.
 
-    The sums are one (X, M, x, m, unit) tuple per NUL-joined key, in the
-    order the keys are first seen, replaced by each later row of the key.
-    Each sum runs in row order, so the result depends only on the sequence
-    of rows. A side's volume is the sum of its quantities only when every
-    row of the key reports one; otherwise it is None, since summing values
-    over all rows but quantities over some would bias the unit value. Keys
-    with zero trade are kept. Raises what `read_flows` raises, in its order:
-    a row fault or unit conflict, the first in row order, then OverflowError
-    on the first key with trade whose trade or volume total leaves the float
-    range. Equal units are one string, shared through a table private to
-    the call.
+    The sums are one (X, M, x, m, unit) tuple per NUL-joined key with
+    trade, in the order the keys are first seen, replaced by each later row
+    of the key. Each sum runs in row order, so the result depends only on
+    the sequence of rows. A side's volume is the sum of its quantities only
+    when every row of the key reports one; otherwise it is None, since
+    summing values over all rows but quantities over some would bias the
+    unit value. One walk over the merged keys, the only place that decides
+    whether a key has trade, drops and counts those whose X + M is 0. Raises
+    what `read_flows` raises, in its order: a row fault or unit conflict,
+    the first in row order, then OverflowError on the first key with trade
+    whose trade or volume total leaves the float range. Equal units are one
+    string, shared through a table private to the call.
     """
     if _is_binary(source):
         rows = _row_blocks(_blocks(source))
@@ -360,38 +361,30 @@ def _sums(source: IO[bytes] | IO[str] | Iterable[str]) -> tuple[dict[str, tuple]
             share(unit, unit) if sunit is None else sunit,
         )
     # Every row is finite and nonnegative, so a sum that overflowed is inf.
-    # Three passes in C find whether one did; only then are the keys walked.
-    inf, sums = math.inf, acc.values()
-    if (
-        inf in map(add, map(itemgetter(0), sums), map(itemgetter(1), sums))
-        or inf in map(itemgetter(2), sums) or inf in map(itemgetter(3), sums)
-    ):
-        for key, (xv, mv, xq, mq, _) in acc.items():
-            if (xv or mv) and (xv + mv == inf or xq == inf or mq == inf):
-                fields = tuple(key.split("\0"))
-                raise OverflowError(f"trade or volume total of key {fields} exceeds the float range")
-    return acc, rows_read
+    inf, zero_trade = math.inf, []
+    for key, (xv, mv, xq, mq, _) in acc.items():
+        if not (xv or mv):
+            zero_trade.append(key)
+        elif xv + mv == inf or xq == inf or mq == inf:
+            fields = tuple(key.split("\0"))
+            raise OverflowError(f"trade or volume total of key {fields} exceeds the float range")
+    for key in zero_trade:
+        del acc[key]
+    return acc, rows_read, len(zero_trade)
 
 
 def _sum_records(sums: dict[str, tuple]) -> Iterator[tuple]:
-    """The nine fields of the flow of each key of `sums` with trade, in the flows' order.
+    """The nine fields of the flow of each key of `_sums`' `sums`, in the flows' order.
 
     Each is a plain tuple, made when it is asked for: no flow is built.
     """
     for key, (xv, mv, xq, mq, unit) in sums.items():
-        if xv or mv:
-            period, reporter, partner, code = key.split("\0")
-            yield period, reporter, partner, code, xv, mv, xq, mq, unit
+        period, reporter, partner, code = key.split("\0")
+        yield period, reporter, partner, code, xv, mv, xq, mq, unit
 
 
-def _zero_trade(sums: dict[str, tuple]) -> int:
-    """How many keys of `sums` have no trade, their X + M 0: the keys `_flows` drops."""
-    values = sums.values()
-    return countOf(map(add, map(itemgetter(0), values), map(itemgetter(1), values)), 0)
-
-
-def _flows(sums: dict[str, tuple], rows_read: int) -> CleanResult:
-    """The flows of `_sums`' keys with trade, in their order; the keys without are counted.
+def _flows(sums: dict[str, tuple], rows_read: int, dropped: int) -> CleanResult:
+    """The flows of `_sums`' keys, in their order, with its counts of rows and dropped keys.
 
     The flows are made last key first: each key is split at its NULs, and
     it and its slot are freed, as its flow is made, so the joined keys are
@@ -404,12 +397,8 @@ def _flows(sums: dict[str, tuple], rows_read: int) -> CleanResult:
     """
     share, new = {}.setdefault, tuple.__new__
     flows: list[IndustryFlow] = []
-    dropped = 0
     while sums:
         key, (xv, mv, xq, mq, unit) = sums.popitem()
-        if xv == 0 and mv == 0:
-            dropped += 1
-            continue
         period, reporter, partner, code = key.split("\0")
         flows.append(new(IndustryFlow, (
             share(period, period), share(reporter, reporter),

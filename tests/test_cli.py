@@ -1465,7 +1465,7 @@ def test_checked_table_fails_no_decomposition(body, mapping):
     report refuses no table that validate accepts."""
     table = f"{HEADER}\n{body}"
     try:
-        sums, _ = trade_data._sums(io.StringIO(table))
+        sums, _, _ = trade_data._sums(io.StringIO(table))
     except OverflowError:  # a row's export and import sum past the float range
         return
     try:
@@ -1587,6 +1587,23 @@ def test_validate_builds_no_flow_record(table, monkeypatch, capsys):
     monkeypatch.setattr(trade_data, "_flows", _refuse)
     monkeypatch.setattr(cli, "read_flows", _refuse)
     assert (run("validate", "--input", table), capsys.readouterr()) == expected
+
+
+@pytest.mark.parametrize("table", [
+    example_flows_path(), example_panel_path(), *sorted(FIXTURES.glob("*.csv")),
+], ids=lambda path: path.name)
+def test_validate_counts_what_the_reports_read(table, capsys):
+    """On a table validate accepts, its line gives the counts of `read_flows`,
+    the flows every report reads: rows, flows and zero-trade keys dropped."""
+    if run("validate", "--input", table) != cli.EXIT_OK:
+        return  # a refused table has no counts to compare
+    line = capsys.readouterr().out
+    with open(table, "rb") as fh:
+        result = read_flows(fh)
+    assert line == (
+        f"ok: {result.rows_read} rows, {len(result.flows)} industry flows, "
+        f"{result.dropped_zero_trade} zero-trade industries dropped\n"
+    )
 
 
 @pytest.mark.parametrize("command", ["compute", "sweep", "transitions"])

@@ -666,6 +666,53 @@ class TestReadFlows:
         assert result.dropped_zero_trade == 1
         assert result.rows_read == 5
 
+    @pytest.mark.parametrize("binary", [True, False], ids=["blocks", "csv-reader"])
+    def test_sums_decide_has_trade_once(self, binary, monkeypatch):
+        # Rows of a key with trade fill the first block, so that the binary
+        # route splits the rows under test in columns.
+        padding = "2019,FRA,DEU,0,1,1,,,\n" * (_BLOCK // 20)
+        body = "".join(f"2020,FRA,DEU,{row}\n" for row in (
+            "3,0,0,,,",  # key 3 trades 0 first, then trades: kept
+            "1,0,0,,,", "1,0,0,,,",  # key 1 trades 0 throughout: dropped
+            # key 2 has no trade and its quantities overflow: dropped, not refused
+            "2,0,0,1e308,1e308,kg", "2,0,0,1e308,1e308,kg",
+            "3,116,100,100,100,kg",
+            "5,0,7,,,",  # key 5 only imports: kept
+        ))
+        # A later key with trade whose value sum overflows is refused by name.
+        overflow = "2020,FRA,DEU,4,1e308,0,,,\n" * 2
+        table = f"{HEADER}\n{padding}{body}"
+
+        def source(text):
+            return io.BytesIO(text.encode()) if binary else io.StringIO(text)
+
+        splits = []
+
+        def split(block, limit):
+            splits.append(real_split(block, limit))
+            return splits[-1]
+
+        real_split = trade_data._split
+        monkeypatch.setattr(trade_data, "_split", split)
+        sums, rows_read, dropped = trade_data._sums(source(table))
+        assert any(splits) == binary
+        kept = "\0".join(("2020", "FRA", "DEU", "3"))
+        assert list(sums) == [
+            "\0".join(("2019", "FRA", "DEU", "0")), kept, "\0".join(("2020", "FRA", "DEU", "5")),
+        ]
+        assert sums[kept] == (116.0, 100.0, None, None, "kg")
+        assert (rows_read, dropped) == (_BLOCK // 20 + 7, 2)
+        result = read_flows(source(table))
+        assert [flow[:4] for flow in result.flows] == [
+            ("2019", "FRA", "DEU", "0"), ("2020", "FRA", "DEU", "3"), ("2020", "FRA", "DEU", "5"),
+        ]
+        assert (result.rows_read, result.dropped_zero_trade) == (rows_read, dropped)
+        message = r"total of key \('2020', 'FRA', 'DEU', '4'\) exceeds the float range"
+        with pytest.raises(OverflowError, match=message):
+            trade_data._sums(source(table + overflow))
+        with pytest.raises(OverflowError, match=message):
+            read_flows(source(table + overflow))
+
     def test_key_fields_holding_commas(self):
         # Joined by commas, the two keys would be one string.
         raw = (
