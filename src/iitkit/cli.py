@@ -449,13 +449,13 @@ def _run_transitions(args: argparse.Namespace) -> int:
         )
     _check(flows)
 
-    # One group per period in each panel, cut from its flows sorted on period;
+    # One group per period in each panel, cut from its flows sorted and grouped on period;
     # nature_transitions puts the periods in their natural order. map and
     # filter hold no panel once they pass it on, so a run holds the groups of
     # one panel at a time.
     type_method = _type_method(args)
     groups = (
-        list(_groups(sorted(run, key=period), mapping)) for run in _panels(ordered, mapping)
+        list(_groups(sorted(run, key=period), mapping, period)) for run in _panels(ordered, mapping)
     )
     reports = map(
         lambda panel: nature_transitions(panel, args.alpha, args.family, type_method),

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import IO, Iterable, Iterator, NamedTuple, Sequence
 
-from iitkit.indices import TradeType, TradeTypeMethod, check_fraction, classify_trade_type
+from iitkit.indices import TradeType, TradeTypeMethod, _trade_type, check_fraction
 from iitkit.trade_data import IndustryFlow, IndustryGroup
 
 FAMILIES = ("ghm", "ff")
@@ -349,8 +349,8 @@ def _members(
         negated_lowers = [-m.lower for m in methods]
     horizontal, vertical_high = Differentiation.HORIZONTAL, Differentiation.VERTICAL_HIGH
     for flow in group.members:
-        trade_type = classify_trade_type(flow, type_method)
-        xv, mv = flow.export_value, flow.import_value
+        _, _, _, _, xv, mv, _, _, _ = flow  # one unpack, not a read by name per field
+        trade_type = _trade_type(xv, mv, type_method, flow)
         if ghm:
             amount = 2.0 * min(xv, mv)
         else:

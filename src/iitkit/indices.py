@@ -90,9 +90,9 @@ def grubel_lloyd_synthetic(group: IndustryGroup) -> float:
     """Overlapped share of a group's total trade, 2*sum(min) / sum(X + M)."""
     overlap = 0.0
     total = 0.0
-    for flow in group.members:
-        overlap += min(flow.export_value, flow.import_value)
-        total += flow.export_value + flow.import_value
+    for _, _, _, _, x, m, _, _, _ in group.members:
+        overlap += min(x, m)
+        total += x + m
     if total == 0:
         raise UndefinedIndexError(f"zero total trade in group {group.group_id!r}")
     return 2.0 * overlap / total
@@ -100,14 +100,22 @@ def grubel_lloyd_synthetic(group: IndustryGroup) -> float:
 
 def classify_trade_type(flow: IndustryFlow, method: TradeTypeMethod) -> TradeType:
     """Label an industry one-way or two-way under the given rule."""
-    _require_trade(flow)
-    minority = min(flow.export_value, flow.import_value)
+    return _trade_type(flow[4], flow[5], method, flow)
+
+
+def _trade_type(x: float, m: float, method: TradeTypeMethod, flow: IndustryFlow) -> TradeType:
+    """`classify_trade_type` of `flow`, whose X and M are `x` and `m`, read once by the caller.
+
+    `flow` only names the key when its trade is zero.
+    """
+    if x + m == 0:
+        raise UndefinedIndexError(f"zero total trade for key {tuple(flow[:4])}")
+    minority = min(x, m)
     if minority == 0:
         return TradeType.ONE_WAY
     if method.kind == "vona":
         return TradeType.TWO_WAY
-    majority = max(flow.export_value, flow.import_value)
-    if minority / majority >= method.threshold:  # boundary inclusive
+    if minority / max(x, m) >= method.threshold:  # boundary inclusive
         return TradeType.TWO_WAY
     return TradeType.ONE_WAY
 
@@ -117,10 +125,10 @@ def vona_synthetic(group: IndustryGroup, method: TradeTypeMethod) -> float:
     two_way = 0.0
     total = 0.0
     for flow in group.members:
-        trade = flow.export_value + flow.import_value
-        total += trade
-        if classify_trade_type(flow, method) is TradeType.TWO_WAY:
-            two_way += trade
+        _, _, _, _, x, m, _, _, _ = flow
+        total += x + m
+        if _trade_type(x, m, method, flow) is TradeType.TWO_WAY:
+            two_way += x + m
     if total == 0:
         raise UndefinedIndexError(f"zero total trade in group {group.group_id!r}")
     return two_way / total

@@ -43,8 +43,7 @@ from iitkit.differentiation import decompose_shares  # noqa: F401
 DEFAULT_ALPHA_GRID = (0.05, 0.10, 0.15, 0.20, 0.25, 0.30)
 
 
-@dataclass(frozen=True)
-class FlipPoint:
+class FlipPoint(NamedTuple):
     """An industry whose label changes between two adjacent alphas."""
 
     key: FlowKey
@@ -59,7 +58,8 @@ class FlipPoint:
     )
 
     def values(self) -> tuple:
-        return (*self.key, self.alpha, self.label_before.value, self.label_after.value)
+        key, alpha, label_before, label_after = self
+        return (*key, alpha, label_before._value_, label_after._value_)  # as Transition.values
 
 
 @dataclass(frozen=True)
@@ -160,9 +160,9 @@ def _flips(alphas: tuple[float, ...], members: Iterable[tuple]) -> tuple[FlipPoi
     """The flips of a `_members` pass over `alphas`: by boundary, then in member order."""
     flipping = [(m[6], m[0], m[5]) for m in members if 0 < m[6] < len(alphas)]
     flipping.sort(key=itemgetter(0))  # by first horizontal index, stable
-    horizontal = Differentiation.HORIZONTAL
+    horizontal, new = Differentiation.HORIZONTAL, tuple.__new__  # FlipPoint() is Python code
     return tuple([
-        FlipPoint(flow.key, alphas[k], label, horizontal) for k, flow, label in flipping
+        new(FlipPoint, (flow.key, alphas[k], label, horizontal)) for k, flow, label in flipping
     ])
 
 
@@ -263,15 +263,19 @@ def nature_transitions(
     transitions = []
     skipped = 0
     absent = (None, None, None)
+    keys_to: dict[str, FlowKey] = {}  # a pair's keys_to are the next pair's keys_from
     for from_map, to_map in zip(by_code, by_code[1:]):
+        keys_from, keys_to = keys_to, {}
         for code in sorted(from_map.keys() | to_map.keys()):
             flow_from, ratio_from, label_from = from_map.get(code, absent)
             flow_to, ratio_to, label_to = to_map.get(code, absent)
             if label_from is None or label_to is None:
                 skipped += 1
             else:
+                key_from = keys_from.get(code) or flow_from.key
+                keys_to[code] = key_to = flow_to.key
                 transitions.append(Transition(
-                    flow_from.key, flow_to.key, ratio_from, ratio_to, label_from, label_to
+                    key_from, key_to, ratio_from, ratio_to, label_from, label_to
                 ))
     (reporter, partner, group_id), = panels
     return TransitionReport(
@@ -283,7 +287,8 @@ def _flips_table(flips: Iterable[tuple[str, tuple[FlipPoint, ...]]]) -> _CsvTabl
     """The header and rows of a flip table, from each group id with its flip points."""
     return (
         ("group_id", *FlipPoint.FIELDS),
-        ((group_id, *f.values()) for group_id, points in flips for f in points),
+        ((group_id, *key, alpha, before._value_, after._value_)  # FlipPoint.values, inlined
+         for group_id, points in flips for key, alpha, before, after in points),
     )
 
 

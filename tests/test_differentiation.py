@@ -1,8 +1,10 @@
 import math
+from bisect import bisect_left
 
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
+from iitkit import differentiation
 from iitkit.differentiation import (
     Differentiation,
     DifferentiationMethod,
@@ -14,7 +16,13 @@ from iitkit.differentiation import (
     reports_to_csv,
     unit_value_ratio,
 )
-from iitkit.indices import TradeTypeMethod, grubel_lloyd_synthetic, vona_synthetic
+from iitkit.indices import (
+    TradeType,
+    TradeTypeMethod,
+    UndefinedIndexError,
+    grubel_lloyd_synthetic,
+    vona_synthetic,
+)
 
 from conftest import make_flow, make_group
 
@@ -266,3 +274,124 @@ def test_method_band_edges_inclusive(alpha, family):
     ):
         assert method.classify(ratio) is label
         assert classify(ratio, alpha) is label
+
+
+# Frozen copies of the member pass, its trade-type rule and the group total as
+# they read each flow field by name, before the pass unpacked each flow once.
+def _named_trade_type(flow, method):
+    if flow.export_value + flow.import_value == 0:
+        raise UndefinedIndexError(f"zero total trade for key {tuple(flow[:4])}")
+    minority = min(flow.export_value, flow.import_value)
+    if minority == 0:
+        return TradeType.ONE_WAY
+    if method.kind == "vona":
+        return TradeType.TWO_WAY
+    majority = max(flow.export_value, flow.import_value)
+    if minority / majority >= method.threshold:
+        return TradeType.TWO_WAY
+    return TradeType.ONE_WAY
+
+
+def _named_members(group, methods, type_method):
+    ghm = methods[0].family == "ghm"
+    lower, upper = methods[0].lower, methods[0].upper
+    count, two_way = len(methods), TradeType.TWO_WAY
+    uppers = [m.upper for m in methods]
+    negated_lowers = [-m.lower for m in methods]
+    for flow in group.members:
+        trade_type = _named_trade_type(flow, type_method)
+        xv, mv = flow.export_value, flow.import_value
+        if ghm:
+            amount = 2.0 * min(xv, mv)
+        else:
+            amount = xv + mv if trade_type is two_way else 0.0
+        uvr = differentiation._unit_values(flow)
+        ratio = reason = label = None
+        first = count
+        if isinstance(uvr, UnclassifiableReason):
+            reason = uvr if amount > 0 else None
+        else:
+            ratio = uvr[2]
+            if amount > 0:
+                label = differentiation._band(ratio, lower, upper)
+                if label is H:
+                    first = 0
+                elif count > 1:
+                    first = (
+                        bisect_left(uppers, ratio) if label is VH
+                        else bisect_left(negated_lowers, -ratio)
+                    )
+        yield flow, trade_type, amount, ratio, reason, label, first
+
+
+def _named_total(group):
+    total = 0.0
+    for member in group.members:
+        total += member.export_value + member.import_value
+    return total
+
+
+def _drawn(members):
+    """The members a pass yields before it raises, and what it raises (None if nothing)."""
+    out = []
+    try:
+        for member in members:
+            out.append(member)
+    except (UndefinedIndexError, OverflowError) as exc:
+        return out, (type(exc), str(exc))
+    return out, None
+
+
+_GRID_20 = tuple(k / 40 for k in range(1, 21))
+# (X, M): two-way, one-way either side, minority/majority exactly at 0.25 and
+# 0.1 (0.5 / 5.0 is the float 0.1), no trade, and values up to 1e300.
+_VALUES = st.one_of(
+    st.sampled_from([(116.0, 100.0), (3.0, 0.0), (0.0, 7.0), (1.0, 4.0), (8.0, 2.0),
+                     (0.5, 5.0), (5.0, 0.5), (0.0, 0.0), (1e300, 3e299)]),
+    st.tuples(st.floats(0.0, 1e6), st.floats(0.0, 1e6)),
+)
+# (x, m): both reported, one missing, one zero.
+_VOLUMES = st.one_of(
+    st.sampled_from([(None, None), (100.0, None), (None, 100.0), (0.0, 100.0), (100.0, 0.0)]),
+    st.tuples(st.floats(0.01, 1e4), st.floats(0.01, 1e4)),
+)
+
+
+@st.composite
+def _member_pass_cases(draw):
+    """(family, type method, alphas, group): vona and aer at thresholds that
+    minority/majority ratios meet exactly, 1 or 20 alphas, library-built groups."""
+    flows = [
+        make_flow(*draw(_VALUES), *draw(_VOLUMES), code=f"{i:06d}")
+        for i in range(draw(st.integers(1, 12)))
+    ]
+    type_method = draw(st.one_of(
+        st.just(TradeTypeMethod.vona()),
+        st.sampled_from([0.1, 0.25]).map(TradeTypeMethod.abd_el_rahman),
+        st.floats(0.01, 0.99).map(TradeTypeMethod.abd_el_rahman),
+    ))
+    alphas = draw(st.sampled_from([(0.15,), _GRID_20]))
+    return draw(st.sampled_from(["ghm", "ff"])), type_method, alphas, make_group(flows)
+
+
+# A zero-trade member, which IndustryGroup's constructor accepts.
+_ZERO_TRADE = (
+    "ghm", AER, (0.15,),
+    make_group([make_flow(116.0, 100.0, 100.0, 100.0), make_flow(0.0, 0.0, code="000002")]),
+)
+
+
+@given(_member_pass_cases())
+@example(_ZERO_TRADE)
+def test_member_pass_and_total_equal_the_named_field_reads(case):
+    """`_members` and `IndustryGroup.total_trade` give what the by-name
+    versions gave, member by member, and raise as they raised."""
+    family, type_method, alphas, group = case
+    methods = [DifferentiationMethod(family, a) for a in alphas]
+    drawn = _drawn(differentiation._members(group, methods, type_method))
+    assert drawn == _drawn(_named_members(group, methods, type_method))
+    zero = [flow for flow in group.members if flow.export_value + flow.import_value == 0]
+    if zero:
+        message = f"zero total trade for key {tuple(zero[0][:4])}"
+        assert drawn[1] == (UndefinedIndexError, message)
+    assert group.total_trade == _named_total(group)

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -19,6 +21,7 @@ from iitkit.indices import TradeType, TradeTypeMethod, classify_trade_type
 from iitkit.trade_data import FlowKey
 from iitkit.sensitivity import (
     DEFAULT_ALPHA_GRID,
+    FlipPoint,
     Transition,
     TransitionReport,
     alpha_sweep,
@@ -316,6 +319,26 @@ class TestAlphaSweep:
         text = sweep_flips_to_csv([result])
         lines = text.strip().splitlines()
         assert len(lines) == 1 + len(result.flip_points)
+
+    def test_flip_point_round_trips(self):
+        """A flip point the sweep builds is a named tuple: it equals and hashes
+        as the tuple of its fields, and pickle, copy and _replace keep its type."""
+        (flip,) = sweep_flips(make_group([ratio_flow(1.16)]), [0.15, 0.25], "ghm", AER)
+        fields = (FlowKey("2020", "FRA", "DEU", "000001"), 0.25, VH, H)
+        assert type(flip) is FlipPoint and type(flip.key) is FlowKey
+        assert (flip, hash(flip)) == (fields, hash(fields))
+        assert flip == FlipPoint(*fields) and flip._fields == FlipPoint._fields
+        assert flip.values() == ("2020", "FRA", "DEU", "000001", 0.25, "vertical_high", "horizontal")
+        copies = [
+            copy.copy(flip), copy.deepcopy(flip), flip._replace(), FlipPoint._make(flip),
+            *(pickle.loads(pickle.dumps(flip, protocol))
+              for protocol in range(pickle.HIGHEST_PROTOCOL + 1)),
+        ]
+        for copied in copies:
+            assert type(copied) is FlipPoint
+            assert (copied, hash(copied), repr(copied)) == (flip, hash(flip), repr(flip))
+        moved = flip._replace(alpha=0.3)
+        assert type(moved) is FlipPoint and moved == (*fields[:1], 0.3, *fields[2:])
 
 
 class TestNatureTransitions:
