@@ -60,42 +60,46 @@ class TradeTypeMethod:
         return cls("abd_el_rahman", threshold)
 
 
-def _require_trade(flow: IndustryFlow) -> None:
-    if flow.export_value + flow.import_value == 0:
+def _nonzero_trade(flow: IndustryFlow) -> tuple[float, float]:
+    """The X and M of `flow`, read once; raises UndefinedIndexError when X + M is 0."""
+    x, m = flow.export_value, flow.import_value
+    if x + m == 0:
         raise UndefinedIndexError(f"zero total trade for key {tuple(flow[:4])}")
+    return x, m
+
+
+def _nonzero_total(group: IndustryGroup) -> float:
+    """`group.total_trade`, the left fold every report divides by; raises when it is 0."""
+    total = group.total_trade
+    if total == 0:
+        raise UndefinedIndexError(f"zero total trade in group {group.group_id!r}")
+    return total
 
 
 def balassa_index(flow: IndustryFlow) -> float:
     """Net trade relative to total trade, |X - M| / (X + M), in [0, 1]."""
-    _require_trade(flow)
-    x, m = flow.export_value, flow.import_value
+    x, m = _nonzero_trade(flow)
     return abs(x - m) / (x + m)
 
 
 def balassa_performance(flow: IndustryFlow) -> float:
     """Signed trade balance ratio (X - M) / (X + M), in [-1, 1]."""
-    _require_trade(flow)
-    x, m = flow.export_value, flow.import_value
+    x, m = _nonzero_trade(flow)
     return (x - m) / (x + m)
 
 
 def grubel_lloyd_simple(flow: IndustryFlow) -> float:
     """Overlapped share of one industry's trade, 2*min(X, M) / (X + M)."""
-    _require_trade(flow)
-    x, m = flow.export_value, flow.import_value
+    x, m = _nonzero_trade(flow)
     return 2.0 * min(x, m) / (x + m)
 
 
 def grubel_lloyd_synthetic(group: IndustryGroup) -> float:
     """Overlapped share of a group's total trade, 2*sum(min) / sum(X + M)."""
     overlap = 0.0
-    total = 0.0
     for _, _, _, _, x, m, _, _, _ in group.members:
         overlap += min(x, m)
-        total += x + m
-    if total == 0:
-        raise UndefinedIndexError(f"zero total trade in group {group.group_id!r}")
-    return 2.0 * overlap / total
+    return 2.0 * overlap / _nonzero_total(group)
 
 
 def classify_trade_type(flow: IndustryFlow, method: TradeTypeMethod) -> TradeType:
@@ -123,12 +127,8 @@ def _trade_type(x: float, m: float, method: TradeTypeMethod, flow: IndustryFlow)
 def vona_synthetic(group: IndustryGroup, method: TradeTypeMethod) -> float:
     """Share of the group's trade carried by two-way industries, in [0, 1]."""
     two_way = 0.0
-    total = 0.0
     for flow in group.members:
         _, _, _, _, x, m, _, _, _ = flow
-        total += x + m
         if _trade_type(x, m, method, flow) is TradeType.TWO_WAY:
             two_way += x + m
-    if total == 0:
-        raise UndefinedIndexError(f"zero total trade in group {group.group_id!r}")
-    return two_way / total
+    return two_way / _nonzero_total(group)

@@ -262,7 +262,7 @@ def nature_transitions(
 
     transitions = []
     skipped = 0
-    absent = (None, None, None)
+    absent, new = (None, None, None), tuple.__new__  # Transition() is Python code
     keys_to: dict[str, FlowKey] = {}  # a pair's keys_to are the next pair's keys_from
     for from_map, to_map in zip(by_code, by_code[1:]):
         keys_from, keys_to = keys_to, {}
@@ -274,9 +274,9 @@ def nature_transitions(
             else:
                 key_from = keys_from.get(code) or flow_from.key
                 keys_to[code] = key_to = flow_to.key
-                transitions.append(Transition(
+                transitions.append(new(Transition, (
                     key_from, key_to, ratio_from, ratio_to, label_from, label_to
-                ))
+                )))
     (reporter, partner, group_id), = panels
     return TransitionReport(
         reporter, partner, group_id, family, alpha, tuple(transitions), skipped

@@ -412,15 +412,15 @@ def _flows(sums: dict[str, tuple], rows_read: int, dropped: int) -> CleanResult:
 def _row_blocks(blocks: Iterator[bytes]) -> Iterator[Iterable[_Row]]:
     """The checked rows of a binary flow table, one iterable per split block or batch.
 
-    Each block but the first is offered to `_split`, and its columns go to
-    `_checked` with the row number carried. The first block, which holds the
-    header, and each block that `_split` refuses go to `_table` as a `_Span`.
+    Each block read after the header is offered to `_split`, and its columns
+    go to `_checked` with the row number carried. The block that holds the
+    header, and each block that `_split` refuses, go to `_table` as a
+    `_Span`. An empty stream is one empty block, which `_table` refuses at
+    row 1.
     """
-    span = _Span(next(blocks, b""), blocks)
-    yield from _batches(_table(span, EXPECTED_HEADER))
-    limit, row_number = csv.field_size_limit(), span.row_number
-    for block in blocks:
-        split = _split(block, limit)
+    limit, row_number = csv.field_size_limit(), 0
+    for block in chain((next(blocks, b""),), blocks):
+        split = _split(block, limit) if row_number else None
         if split is None:
             span = _Span(block, blocks)
             yield from _batches(_table(span, EXPECTED_HEADER, row_number))

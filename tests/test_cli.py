@@ -151,6 +151,13 @@ class TestCompute:
         assert run("compute", "--input", flows_csv, "--alpha", "1.5") == 1
         assert "--alpha" in capsys.readouterr().err
 
+    def test_alpha_not_a_number_exits_1_naming_it(self, flows_csv, capsys):
+        assert run("compute", "--input", flows_csv, "--alpha", "abc") == 1
+        out, err = capsys.readouterr()
+        assert (out, err.splitlines()[0]) == (
+            "", "error: argument --alpha: --alpha must be a number, got 'abc'"
+        )
+
     def test_missing_input_exits_2(self, tmp_path):
         assert run("compute", "--input", tmp_path / "nope.csv") == 2
 

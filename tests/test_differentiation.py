@@ -381,8 +381,19 @@ _ZERO_TRADE = (
 )
 
 
+# A member whose ratio overflows before the zero-trade member is reached.
+_OVERFLOW_FIRST = (
+    "ghm", TradeTypeMethod.vona(), (0.15,),
+    make_group([
+        make_flow(1.0, 2.225073858507203e-309, 1.0, 1.0, code="000000"),
+        make_flow(0.0, 0.0, code="000001"),
+    ]),
+)
+
+
 @given(_member_pass_cases())
 @example(_ZERO_TRADE)
+@example(_OVERFLOW_FIRST)
 def test_member_pass_and_total_equal_the_named_field_reads(case):
     """`_members` and `IndustryGroup.total_trade` give what the by-name
     versions gave, member by member, and raise as they raised."""
@@ -392,6 +403,12 @@ def test_member_pass_and_total_equal_the_named_field_reads(case):
     assert drawn == _drawn(_named_members(group, methods, type_method))
     zero = [flow for flow in group.members if flow.export_value + flow.import_value == 0]
     if zero:
+        # The pass stops at the first zero-trade member, or before it where
+        # an earlier member's unit-value ratio leaves the float range.
+        first = group.members.index(zero[0])
         message = f"zero total trade for key {tuple(zero[0][:4])}"
-        assert drawn[1] == (UndefinedIndexError, message)
+        if len(drawn[0]) == first:
+            assert drawn[1] == (UndefinedIndexError, message)
+        else:
+            assert len(drawn[0]) < first and drawn[1][0] is OverflowError
     assert group.total_trade == _named_total(group)

@@ -1,6 +1,7 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
+from iitkit.differentiation import DifferentiationMethod, decompose_shares
 from iitkit.indices import (
     TradeType,
     TradeTypeMethod,
@@ -59,6 +60,11 @@ class TestGrubelLloyd:
         group = make_group([make_flow(100, 0, code="1"), make_flow(0, 100, code="2")])
         assert grubel_lloyd_synthetic(group) == 0.0
 
+    def test_synthetic_all_zero_group_rejected(self):
+        group = make_group([make_flow(0, 0, code="1"), make_flow(0, 0, code="2")], "Z")
+        with pytest.raises(UndefinedIndexError, match=r"^zero total trade in group 'Z'$"):
+            grubel_lloyd_synthetic(group)
+
     def test_synthetic_hand_value(self):
         group = make_group([make_flow(100, 80, code="1"), make_flow(10, 50, code="2")])
         assert grubel_lloyd_synthetic(group) == pytest.approx(0.75, abs=1e-12)
@@ -115,6 +121,10 @@ class TestTradeType:
         with pytest.raises(ValueError):
             TradeTypeMethod.abd_el_rahman(1.0)
 
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(ValueError, match=r"^unknown trade-type method 'x'$"):
+            TradeTypeMethod("x")
+
 
 class TestVonaSynthetic:
     def test_all_two_way(self):
@@ -142,3 +152,141 @@ class TestVonaSynthetic:
         aer = vona_synthetic(group, TradeTypeMethod.abd_el_rahman(threshold))
         assert aer <= vona_synthetic(group, VONA)
         assert 0.0 <= aer <= 1.0
+
+
+# The indicators as each read its flow's X and M twice and folded its own
+# group total, frozen: the shared helpers must give every value and every
+# error as this code did.
+def _former_require_trade(flow):
+    if flow.export_value + flow.import_value == 0:
+        raise UndefinedIndexError(f"zero total trade for key {tuple(flow[:4])}")
+
+
+def _former_balassa_index(flow):
+    _former_require_trade(flow)
+    x, m = flow.export_value, flow.import_value
+    return abs(x - m) / (x + m)
+
+
+def _former_balassa_performance(flow):
+    _former_require_trade(flow)
+    x, m = flow.export_value, flow.import_value
+    return (x - m) / (x + m)
+
+
+def _former_grubel_lloyd_simple(flow):
+    _former_require_trade(flow)
+    x, m = flow.export_value, flow.import_value
+    return 2.0 * min(x, m) / (x + m)
+
+
+def _former_grubel_lloyd_synthetic(group):
+    overlap = 0.0
+    total = 0.0
+    for _, _, _, _, x, m, _, _, _ in group.members:
+        overlap += min(x, m)
+        total += x + m
+    if total == 0:
+        raise UndefinedIndexError(f"zero total trade in group {group.group_id!r}")
+    return 2.0 * overlap / total
+
+
+def _former_vona_synthetic(group, method):
+    two_way = 0.0
+    total = 0.0
+    for flow in group.members:
+        _, _, _, _, x, m, _, _, _ = flow
+        total += x + m
+        if classify_trade_type(flow, method) is TradeType.TWO_WAY:
+            two_way += x + m
+    if total == 0:
+        raise UndefinedIndexError(f"zero total trade in group {group.group_id!r}")
+    return two_way / total
+
+
+def _outcome(index, *args):
+    """The value's bits (NaN as NaN), or the exception's type and message."""
+    try:
+        return index(*args).hex()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+_THRESHOLDS = [0.1, 0.25, 0.5]
+_VALUES = st.one_of(st.just(0.0), st.floats(0.0, 1e308), st.sampled_from([1e308, 5e-324]))
+
+
+@st.composite
+def _pairs(draw, kinds=("any", "one-way", "zero", "threshold")):
+    """An (X, M) pair: two-way, one-way, zero-trade, or at a threshold exactly."""
+    value = draw(_VALUES)
+    kind = draw(st.sampled_from(kinds))
+    if kind == "any":
+        pair = (value, draw(_VALUES))
+    elif kind == "one-way":
+        pair = (value, 0.0)
+    elif kind == "zero":
+        pair = (0.0, 0.0)
+    else:  # minority / majority is the threshold exactly: both scaled by a power of two
+        scale = 2.0 ** draw(st.integers(-30, 30))
+        pair = (scale, scale / draw(st.sampled_from(_THRESHOLDS)))
+    return pair if draw(st.booleans()) else pair[::-1]
+
+
+_VOLUMES = st.one_of(st.none(), st.floats(1e-3, 1e3))
+
+
+@st.composite
+def _groups(draw, zero_trade=True):
+    pairs = draw(st.one_of(
+        st.lists(_pairs(), min_size=1, max_size=6),
+        st.lists(st.just((0.0, 0.0)), min_size=1, max_size=3),
+    ) if zero_trade else st.lists(_pairs(("any", "one-way", "threshold")), min_size=1, max_size=6))
+    return make_group([
+        make_flow(x, m, draw(_VOLUMES), draw(_VOLUMES), code=str(i))
+        for i, (x, m) in enumerate(pairs)
+    ])
+
+
+_METHODS = st.one_of(
+    st.just(VONA),
+    st.sampled_from(_THRESHOLDS).map(TradeTypeMethod.abd_el_rahman),
+    st.floats(0.01, 0.99).map(TradeTypeMethod.abd_el_rahman),
+)
+
+
+class TestSharedHelpers:
+    @given(_groups(), _METHODS)
+    @example(make_group([make_flow(0, 0, code="1"), make_flow(0, 0, code="2")]), VONA)
+    @example(make_group([make_flow(1e308, 1e308, code="1"), make_flow(1e308, 0, code="2")]), AER)
+    @example(make_group([make_flow(10, 1, code="1"), make_flow(3, 0, code="2")]), AER)
+    def test_indicators_match_their_former_code(self, group, method):
+        pairs = [
+            (balassa_index, _former_balassa_index),
+            (balassa_performance, _former_balassa_performance),
+            (grubel_lloyd_simple, _former_grubel_lloyd_simple),
+        ]
+        for flow in group.members:
+            for index, former in pairs:
+                assert _outcome(index, flow) == _outcome(former, flow)
+        assert _outcome(grubel_lloyd_synthetic, group) == _outcome(
+            _former_grubel_lloyd_synthetic, group
+        )
+        assert _outcome(vona_synthetic, group, method) == _outcome(
+            _former_vona_synthetic, group, method
+        )
+
+    @given(_groups(zero_trade=False), _METHODS, st.floats(0.01, 0.99))
+    @example(make_group([make_flow(100, 80, 10, 10, code="1"), make_flow(10, 50, code="2")]), AER, 0.15)
+    def test_synthetic_indices_are_the_decomposed_iit_shares(self, group, method, alpha):
+        # Grubel-Lloyd's synthetic index is the IIT share of the GHM
+        # decomposition, Vona's that of the FF one, bit for bit.
+        for family, index in (
+            ("ghm", lambda: grubel_lloyd_synthetic(group)),
+            ("ff", lambda: vona_synthetic(group, method)),
+        ):
+            try:
+                report = decompose_shares(group, DifferentiationMethod(family, alpha), method)
+            except (OverflowError, UndefinedIndexError):
+                continue
+            assert index().hex() == report.iit.hex()

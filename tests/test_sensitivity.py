@@ -382,6 +382,26 @@ class TestNatureTransitions:
         with pytest.raises(ValueError, match="mixes"):
             nature_transitions(panel, 0.15, "ghm", AER)
 
+    def test_rejects_two_groups_of_one_period(self):
+        panel = [
+            make_group([ratio_flow(1.0, period="2020")]),
+            make_group([ratio_flow(1.2, period="2020")]),
+        ]
+        with pytest.raises(ValueError, match=r"^duplicate period '2020' in panel$"):
+            nature_transitions(panel, 0.15, "ghm", AER)
+
+    def test_transition_is_a_plain_named_tuple(self):
+        report = nature_transitions(self.panel(1.151, 1.149), 0.15, "ghm", AER)
+        (t,) = report.transitions
+        assert type(t) is Transition
+        assert t == Transition(*t)
+        assert t.to_dict() == {
+            "reporter": "FRA", "partner": "DEU", "industry_code": "000001",
+            "period_from": "2020", "period_to": "2021",
+            "ratio_from": t.ratio_from, "ratio_to": t.ratio_to,
+            "label_from": "vertical_high", "label_to": "horizontal", "flipped": True,
+        }
+
     def test_requires_two_periods(self):
         with pytest.raises(ValueError, match="2 periods"):
             nature_transitions([make_group([ratio_flow(1.0)])], 0.15, "ghm", AER)

@@ -76,6 +76,24 @@ class TestParseFlowRecords:
         (flow,) = read_flows(io.BytesIO(raw)).flows
         assert flow.import_value == 2.0
 
+    @pytest.mark.parametrize("binary", [False, True], ids=["text", "bytes"])
+    def test_empty_input_rejected_at_row_1(self, binary):
+        with pytest.raises(FlowParseError) as exc:
+            read_flows(io.BytesIO(b"") if binary else io.StringIO(""))
+        assert str(exc.value) == "row 1: empty input, header row missing"
+
+    def test_text_source_past_one_batch(self):
+        # 1,500 data rows fill a whole batch of the csv route and part of the next.
+        assert trade_data._BATCH < 1_500
+        body = "".join(f"2020,FRA,DEU,{code},{code + 1},1,,,\n" for code in range(1_500))
+        text = f"{HEADER}\n{body}"
+        assert parse(text) == read_flows(io.BytesIO(text.encode()))
+        faulty = text.replace("2020,FRA,DEU,1498,1499,", "2020,FRA,DEU,1498,x,")  # row 1,500
+        for source in (io.StringIO(faulty), io.BytesIO(faulty.encode())):
+            with pytest.raises(FlowParseError) as exc:
+                read_flows(source)
+            assert str(exc.value) == "row 1500: export_value 'x' is not a number"
+
     def test_row_numbers_count_from_header(self):
         text = f"{HEADER}\n2020,FRA,DEU,1,1,1,,,\n2020,FRA,DEU,2,x,1,,,\n"
         with pytest.raises(FlowParseError) as exc:
@@ -850,6 +868,13 @@ class TestApplyGrouping:
             "01, 02, 03, 04, 05, 06, 07, 08, 09, 10"
         )
 
+    def test_unknown_policy_rejected(self):
+        with pytest.raises(ValueError) as exc:
+            apply_grouping(self._flows(), {}, policy="loose")
+        assert str(exc.value) == (
+            f"unknown grouping policy 'loose', expected one of {trade_data.GROUP_POLICIES}"
+        )
+
     def test_drop_policy(self):
         groups = apply_grouping(self._flows(), {"1": "G1"}, policy="drop")
         assert [g.group_id for g in groups] == ["G1"]
@@ -1040,6 +1065,13 @@ def test_grouping_map_code_in_two_groups_rejected_naming_the_later_row():
         read_grouping_map(io.StringIO("industry_code,group_id\n1,A\n2,A\n1,B\n"))
     assert exc.value.row_number == 4
     assert exc.value.reason == "industry_code '1' is in group 'A' by an earlier row, not 'B'"
+
+
+@pytest.mark.parametrize("row", [",G1", "2,"], ids=["empty code", "empty group"])
+def test_grouping_map_row_with_an_empty_field_rejected(row):
+    with pytest.raises(FlowParseError) as exc:
+        read_grouping_map(io.StringIO(f"industry_code,group_id\n1,G1\n{row}\n"))
+    assert str(exc.value) == f"row 3: bad grouping row {row.split(',')!r}"
 
 
 def test_grouping_map_repeated_pair_accepted():
